@@ -113,6 +113,16 @@ def _outcome_json(tree, out) -> dict:
     }
 
 
+def _benders(tree, tol):
+    """solve_benders, with one stderr line when it stops above tol."""
+    out = solve_benders(tree, tol=tol)
+    if out.gap > tol:
+        print(f"warning: benders stopped after {out.passes} passes with "
+              f"gap {format_float(out.gap)} above tol {format_float(tol)}",
+              file=sys.stderr)
+    return out
+
+
 def _cmd_solve(args) -> int:
     tree = load_instance(args.instance)
     if args.dump_lp:
@@ -121,7 +131,7 @@ def _cmd_solve(args) -> int:
             fh.write(write_cplex_lp(lp))
     if args.solver == "both":
         ext = solve_extensive(tree)
-        ben = solve_benders(tree, tol=args.tol)
+        ben = _benders(tree, args.tol)
         rel = abs(ext.objective - ben.objective) / max(1.0, abs(ext.objective))
         blob = _outcome_json(tree, ext)
         blob["cross_check"] = {
@@ -136,7 +146,7 @@ def _cmd_solve(args) -> int:
               f"rel_diff {format_float(rel)}", file=sys.stderr)
     else:
         out = (solve_extensive(tree) if args.solver == "extensive"
-               else solve_benders(tree, tol=args.tol))
+               else _benders(tree, args.tol))
         blob = _outcome_json(tree, out)
     _emit(dump_json(blob) + "\n", args.out)
     return 0
@@ -180,10 +190,8 @@ def _run_oracle_checks(tree, out, items):
 
 
 def _oracle_worker(payload):
-    path, items = payload
-    tree = load_instance(path)
-    out = solve_extensive(tree)
-    return _run_oracle_checks(tree, out, items)
+    path, out, items = payload
+    return _run_oracle_checks(load_instance(path), out, items)
 
 
 def _chunks(seq, n):
@@ -211,7 +219,8 @@ def _cmd_classify(args) -> int:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 parts = pool.map(
                     _oracle_worker,
-                    [(args.instance, chunk) for chunk in _chunks(items, jobs)])
+                    [(args.instance, out, chunk)
+                     for chunk in _chunks(items, jobs)])
                 records = [r for part in parts for r in part]
         else:
             records = _run_oracle_checks(tree, out, items)

@@ -4,9 +4,18 @@ The definitions are operational: a set of scenario paths (or of
 stage-(t+1) realizations) is effective exactly when forcing it to zero
 probability in the relevant ambiguity sets strictly lowers the optimal
 value. This module builds those restricted problems and compares optimal
-values, with no shortcuts, so it can arbitrate the cheap classifier in
-effectiveness.py. All solves go through the extensive-form builder;
-Benders never touches verdicts.
+values, so it can arbitrate the cheap classifier in effectiveness.py.
+
+Each restricted problem is first solved by nested Benders, which brackets
+its optimum as lower <= v* <= upper. The verdict (drop > eff_tolerance)
+and the borderline flag (drop <= BORDERLINE_FACTOR * eff_tolerance) are
+step functions of the drop, so when both ends of the bracket give the
+same pair, every value inside it does too, and Benders decides the
+assessment with the upper bound as its value. When the bracket straddles
+a threshold, or Benders stops above BENDERS_TOL or fails, the restricted
+extensive root LP decides instead, so Benders never marks an assessment
+infeasible on its own. Only the root LP is solved, never the policy
+extraction of solve_extensive, whose policy an assessment does not need.
 """
 
 from __future__ import annotations
@@ -16,11 +25,21 @@ from dataclasses import dataclass
 
 from .effectiveness import EFFECTIVE, INEFFECTIVE, eff_tolerance
 from .errors import InstanceInfeasible, InvalidRemoval, NotSolved, NumericalBreakdown
-from .solver import SolveOutcome, _evaluate, _solve_or_raise, build_extensive, check_removals, solve_extensive
+from .solver import (
+    SolveOutcome,
+    _solve_or_raise,
+    build_extensive,
+    check_removals,
+    solve_benders,
+    solve_extensive,
+)
 from .tree import ScenarioTree
 
 # decreases between eff_tolerance and this multiple of it are flagged
 BORDERLINE_FACTOR = 10.0
+# Benders' relative stopping gap for assessments: far inside the 1e-6
+# verdict tolerance, so the reported value is the optimum to ~1e-10
+BENDERS_TOL = 1e-10
 
 PATHS = "Paths"
 REALIZATIONS = "Realizations"
@@ -58,16 +77,54 @@ class AssessmentResult:
     borderline: bool = False
 
 
-def _verdict(value: float, baseline: float) -> tuple[float, str, bool]:
+def _bands(value: float, baseline: float) -> tuple[bool, bool]:
+    """Where the drop baseline - value sits: (above eff_tolerance, at or
+    below BORDERLINE_FACTOR times it). Verdict and flag follow from it."""
     eps = eff_tolerance(baseline)
     drop = baseline - value
-    if drop < -eps:
+    return drop > eps, drop <= BORDERLINE_FACTOR * eps
+
+
+def _verdict(value: float, baseline: float) -> tuple[float, str, bool]:
+    if baseline - value < -eff_tolerance(baseline):
         raise NumericalBreakdown(
             f"assessment value {value!r} exceeds baseline {baseline!r}; "
             "restricting the ambiguity sets cannot increase the optimum")
-    label = EFFECTIVE if drop > eps else INEFFECTIVE
-    borderline = eps < drop <= BORDERLINE_FACTOR * eps
-    return value, label, borderline
+    effective, below_top = _bands(value, baseline)
+    return (value, EFFECTIVE if effective else INEFFECTIVE,
+            effective and below_top)
+
+
+def _assess(tree: ScenarioTree, removals, baseline: float,
+            node: str | None = None, incoming=None) -> AssessmentResult:
+    """One assessment: the optimum of the (sub)tree at `node` (the whole
+    tree when None, else with the parent decision fixed at `incoming`)
+    with `removals` applied, judged against `baseline`."""
+    try:
+        removals = check_removals(tree, removals)
+        value = _restricted_value(tree, removals, baseline, node, incoming)
+    except InstanceInfeasible:
+        return AssessmentResult(node, math.inf, baseline, EFFECTIVE,
+                                infeasible=True)
+    value, label, borderline = _verdict(value, baseline)
+    return AssessmentResult(node, value, baseline, label,
+                            borderline=borderline)
+
+
+def _restricted_value(tree, removals, baseline, node, incoming) -> float:
+    """The restricted optimum, or a Benders upper bound whose bracket
+    already fixes the verdict and the borderline flag (module docstring)."""
+    try:
+        ben = solve_benders(tree, tol=BENDERS_TOL, removals=removals,
+                            root=node, fixed_incoming=incoming)
+    except InstanceInfeasible:
+        ben = None  # the root LP decides whether it really is
+    if ben is not None and ben.gap <= BENDERS_TOL and \
+            _bands(ben.lower, baseline) == _bands(ben.objective, baseline):
+        return ben.objective
+    lp, _ = build_extensive(tree, removals=removals, root=node,
+                            fixed_incoming=incoming)
+    return _solve_or_raise(lp, "restricted problem").objective_value
 
 
 def _group_by_parent(tree: ScenarioTree, ids) -> dict[str, frozenset]:
@@ -95,16 +152,8 @@ def assess_paths(tree: ScenarioTree, removal: RemovalSet,
     _validate_paths(tree, removal)
     if outcome is None:
         outcome = solve_extensive(tree)
-    baseline = outcome.objective
-    grouped = _group_by_parent(tree, removal.ids)
-    try:
-        restricted = solve_extensive(tree, removals=grouped)
-    except InstanceInfeasible:
-        return AssessmentResult(None, math.inf, baseline, EFFECTIVE,
-                                infeasible=True)
-    value, label, borderline = _verdict(restricted.objective, baseline)
-    return AssessmentResult(None, value, baseline, label,
-                            borderline=borderline)
+    return _assess(tree, _group_by_parent(tree, removal.ids),
+                   outcome.objective)
 
 
 def assess_realizations(tree: ScenarioTree, removal: RemovalSet,
@@ -131,90 +180,9 @@ def assess_realizations(tree: ScenarioTree, removal: RemovalSet,
         if grand is not None and grand not in outcome.policy:
             raise NotSolved(f"no recorded decision for node {grand!r}")
         incoming = outcome.policy[grand] if grand is not None else None
-        try:
-            removals = check_removals(tree, {parent: gone})
-            lp, _ = build_extensive(tree, removals=removals, root=parent,
-                                    fixed_incoming=incoming)
-            sol = _solve_or_raise(lp, f"assessment at {parent!r}")
-        except InstanceInfeasible:
-            results[parent] = AssessmentResult(parent, math.inf, baseline,
-                                               EFFECTIVE, infeasible=True)
-            continue
-        value, label, borderline = _verdict(sol.objective_value, baseline)
-        results[parent] = AssessmentResult(parent, value, baseline, label,
-                                           borderline=borderline)
+        results[parent] = _assess(tree, {parent: gone}, baseline,
+                                  parent, incoming)
     return results
-
-
-def policy_value_under_removal(tree: ScenarioTree, policy,
-                               removals) -> float:
-    """Value of a fixed policy with the removed children pinned to zero,
-    for sandwich checks: restricted optimum <= this <= baseline."""
-    q_values, _ = _evaluate(tree, policy, removals=removals,
-                            check_feasibility=False)
-    return q_values[tree.root()]
-
-
-def verify_monotonicity(tree: ScenarioTree, small: RemovalSet,
-                        large: RemovalSet,
-                        outcome: SolveOutcome | None = None):
-    """Check that removing more paths cannot raise the assessment value.
-    Returns (holds, small result, large result); pairs whose larger set
-    is infeasible are vacuously fine by the +inf convention."""
-    if not small.ids <= large.ids:
-        raise InvalidRemoval("sets are not nested")
-    if outcome is None:
-        outcome = solve_extensive(tree)
-    r_small = assess_paths(tree, small, outcome)
-    r_large = assess_paths(tree, large, outcome)
-    if r_large.infeasible:
-        return True, r_small, r_large
-    tol = 1e-8 * max(1.0, abs(r_small.value))
-    return r_large.value <= r_small.value + tol, r_small, r_large
-
-
-def verify_union_intersection(tree: ScenarioTree, s_eff: RemovalSet,
-                              s_ineff: RemovalSet, s_any: RemovalSet,
-                              outcome: SolveOutcome | None = None) -> dict:
-    """Check the closure facts on a triple: effective sets absorb unions,
-    ineffective sets pass to intersections and subsets. The first two
-    arguments must already carry the stated verdicts (re-checked here)."""
-    if outcome is None:
-        outcome = solve_extensive(tree)
-    r_eff = assess_paths(tree, s_eff, outcome)
-    r_ineff = assess_paths(tree, s_ineff, outcome)
-    if r_eff.verdict != EFFECTIVE:
-        raise InvalidRemoval("s_eff is not effective on this instance")
-    if r_ineff.verdict != INEFFECTIVE:
-        raise InvalidRemoval("s_ineff is not ineffective on this instance")
-
-    union = RemovalSet(PATHS, s_eff.ids | s_any.ids)
-    r_union = assess_paths(tree, union, outcome)
-    union_ok = r_union.verdict == EFFECTIVE
-
-    inter_ids = s_ineff.ids & s_any.ids
-    if inter_ids:
-        r_inter = assess_paths(tree, RemovalSet(PATHS, inter_ids), outcome)
-        inter_ok = r_inter.verdict == INEFFECTIVE
-        inter_value = r_inter.value
-    else:
-        # empty removal changes nothing by convention
-        inter_ok, inter_value = True, outcome.objective
-
-    sub_ids = frozenset(sorted(s_ineff.ids)[:max(1, len(s_ineff.ids) // 2)])
-    r_sub = assess_paths(tree, RemovalSet(PATHS, sub_ids), outcome)
-    sub_ok = r_sub.verdict == INEFFECTIVE
-
-    return {
-        "union_effective": union_ok,
-        "intersection_ineffective": inter_ok,
-        "subset_ineffective": sub_ok,
-        "ok": union_ok and inter_ok and sub_ok,
-        "union_value": r_union.value,
-        "intersection_value": inter_value,
-        "subset_value": r_sub.value,
-        "baseline": outcome.objective,
-    }
 
 
 def assessment_json(removal: RemovalSet, result: AssessmentResult) -> dict:

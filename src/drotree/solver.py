@@ -49,6 +49,8 @@ class SolveOutcome:
     solver: str
     gap: float = 0.0
     passes: int = 0
+    # proven lower bound on the optimum: Benders' last root LP value
+    lower: float = -math.inf
 
 
 def check_removals(tree: ScenarioTree, removals) -> dict[str, frozenset]:
@@ -79,6 +81,13 @@ def check_removals(tree: ScenarioTree, removals) -> dict[str, frozenset]:
     return out
 
 
+def _subtree_root(tree: ScenarioTree, root, fixed_incoming) -> str:
+    root_id = tree.root() if root is None else root
+    if tree.node(root_id).stage > 1 and fixed_incoming is None:
+        raise ValueError(f"subtree root {root_id!r} needs fixed_incoming")
+    return root_id
+
+
 def build_extensive(tree: ScenarioTree, removals=None, root=None,
                     fixed_incoming=None):
     """Extensive epigraph LP for the (sub)tree hanging at `root`.
@@ -96,9 +105,7 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
     meaning. Returns (LinearProgram, VarMap).
     """
     removals = check_removals(tree, removals)
-    root_id = tree.root() if root is None else root
-    if tree.node(root_id).stage > 1 and fixed_incoming is None:
-        raise ValueError(f"subtree root {root_id!r} needs fixed_incoming")
+    root_id = _subtree_root(tree, root, fixed_incoming)
     ids = tree.subtree_ids(root_id)
     nlps = {nid: tree.node_lp(nid) for nid in ids}
 
@@ -217,20 +224,24 @@ def _risk_of_children(tree, nid, child_values, removals):
 
 
 def _evaluate(tree: ScenarioTree, policy, removals=None,
-              check_feasibility=True):
-    """Bottom-up node values at a fixed policy; also the worst-case child
-    distributions realized along the way."""
+              check_feasibility=True, root=None, fixed_incoming=None):
+    """Bottom-up node values at a fixed policy on the (sub)tree hanging at
+    `root`, whose parent decision is `fixed_incoming`; also the worst-case
+    child distributions realized along the way."""
     removals = {k: frozenset(v) for k, v in (removals or {}).items() if v}
+    root_id = tree.root() if root is None else root
     q_values: dict[str, float] = {}
     worst: dict[str, tuple[float, ...]] = {}
-    for t in range(tree.T, 0, -1):
-        for nid in tree.stage_nodes(t):
+    for level in reversed(_levels(tree, root_id)):
+        for nid in level:
             nlp = tree.node_lp(nid)
             x = np.asarray(policy[nid], dtype=float)
             if check_feasibility:
-                _check_node_feasible(tree, nid, nlp, x, policy)
+                incoming = (fixed_incoming if nid == root_id
+                            else policy[tree.parent(nid)])
+                _check_node_feasible(nid, nlp, x, incoming)
             value = float(nlp.cost @ x)
-            if t < tree.T:
+            if tree.children(nid):
                 future, pstar = _risk_of_children(tree, nid, q_values,
                                                   removals)
                 value += future
@@ -239,7 +250,15 @@ def _evaluate(tree: ScenarioTree, policy, removals=None,
     return q_values, worst
 
 
-def _check_node_feasible(tree, nid, nlp, x, policy):
+def _levels(tree: ScenarioTree, root_id: str) -> list[list[str]]:
+    """Nodes of the subtree at root_id, one list per stage from the
+    root's down, each in file order."""
+    sub = set(tree.subtree_ids(root_id))
+    return [[nid for nid in tree.stage_nodes(t) if nid in sub]
+            for t in range(tree.node(root_id).stage, tree.T + 1)]
+
+
+def _check_node_feasible(nid, nlp, x, incoming):
     if x.shape != (nlp.n_vars,):
         raise InfeasiblePolicy(
             f"node {nid!r}: decision has {x.size} entries, "
@@ -247,11 +266,10 @@ def _check_node_feasible(tree, nid, nlp, x, policy):
     if np.any(x < nlp.lower - POLICY_FEAS_TOL) or \
             np.any(x > nlp.upper + POLICY_FEAS_TOL):
         raise InfeasiblePolicy(f"node {nid!r}: decision violates bounds")
-    par = tree.parent(nid)
     for self_c, link_c, sense, rhs in nlp.rows:
         lhs = sum(a * x[j] for j, a in self_c.items())
         if link_c:
-            px = np.asarray(policy[par], dtype=float)
+            px = np.asarray(incoming, dtype=float)
             lhs += sum(a * px[j] for j, a in link_c.items())
         resid = lhs - rhs
         if sense == ">=" and resid < -POLICY_FEAS_TOL:
@@ -382,8 +400,9 @@ class _BendersNode:
 
 
 def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
-                  max_iter: int = 200) -> SolveOutcome:
-    """Nested Benders over the tree.
+                  max_iter: int = 200, removals=None, root=None,
+                  fixed_incoming=None) -> SolveOutcome:
+    """Nested Benders over the (sub)tree hanging at `root`.
 
     Each pass walks the tree forward solving every node LP under its
     current cut pool, evaluates the visited policy exactly for an upper
@@ -392,14 +411,23 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     worst-case distribution over the current approximations. Infeasible
     child solves yield feasibility cuts on the parent. Stops when
     (upper - lower) <= tol * max(1, |lower|) or after max_iter passes;
-    the outcome records the achieved gap either way.
+    the outcome records the achieved gap and lower bound either way.
+
+    `removals`, `root` and `fixed_incoming` mean what they mean for
+    build_extensive. At a node with removed children the cut weights come
+    from the restricted worst case; that maximum over a smaller set of
+    distributions is still convex and monotone in the child values, so
+    its cuts stay valid.
     """
-    ids = [nid for t in range(1, tree.T + 1) for nid in tree.stage_nodes(t)]
+    removals = check_removals(tree, removals)
+    root_id = _subtree_root(tree, root, fixed_incoming)
+    root_incoming = (np.zeros(0) if fixed_incoming is None
+                     else np.asarray(fixed_incoming, dtype=float))
+    levels = _levels(tree, root_id)
+    ids = [nid for level in levels for nid in level]
     nlps = {nid: tree.node_lp(nid) for nid in ids}
     floor = _theta_floor(nlps)
     work = {nid: _BendersNode(tree, nid, floor) for nid in ids}
-    root_id = tree.root()
-    no_incoming = np.zeros(0)
 
     best_value = math.inf
     best_policy = None
@@ -414,12 +442,12 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
         cut_added = False
         for nid in ids:
             par = tree.parent(nid)
-            incoming = no_incoming if par is None else xvals[par]
+            incoming = root_incoming if nid == root_id else xvals[par]
             sol = work[nid].solve(incoming)
             if sol.status == UNBOUNDED:
                 raise InstanceUnbounded(f"node {nid!r} subproblem unbounded")
             if sol.status == INFEASIBLE:
-                if par is None:
+                if nid == root_id:
                     raise InstanceInfeasible("root subproblem infeasible")
                 grad = work[nid].link_gradient(
                     sol.farkas[:work[nid].n_template_rows])
@@ -434,7 +462,8 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
             continue  # repeat the pass with the strengthened parent
 
         lower = float(fwd[root_id].objective_value)
-        q_values, _ = _evaluate(tree, xvals, check_feasibility=False)
+        q_values, _ = _evaluate(tree, xvals, removals, check_feasibility=False,
+                                root=root_id)
         value = q_values[root_id]
         if value < best_value:
             best_value = value
@@ -444,11 +473,11 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
             break
 
         # backward
-        for t in range(tree.T - 1, 0, -1):
-            for nid in tree.stage_nodes(t):
+        for level in reversed(levels[:-1]):
+            for nid in level:
                 kids = tree.children(nid)
                 incoming = xvals[nid]
-                values = []
+                values = {}
                 grads = []
                 for c in kids:
                     if work[c].is_leaf:
@@ -458,16 +487,13 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
                         if csol.status != OPTIMAL:
                             raise InstanceInfeasible(
                                 f"backward child {c!r} not optimal")
-                    values.append(float(csol.objective_value))
+                    values[c] = float(csol.objective_value)
                     grads.append(work[c].link_gradient(
                         csol.duals[:work[c].n_template_rows]))
-                dist = FiniteDist(np.array(values),
-                                  np.array(tree.q_children(nid)))
-                res = worst_case_expectation(
-                    dist, tree.gamma_for_children_of(nid))
+                _, pstar = _risk_of_children(tree, nid, values, removals)
                 beta = np.zeros(nlps[nid].n_vars)
                 alpha = 0.0
-                for p, v, grad in zip(res.dist, values, grads):
+                for p, v, grad in zip(pstar, values.values(), grads):
                     if p == 0.0:
                         continue
                     beta[:grad.size] += p * grad
@@ -476,6 +502,7 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
 
     if best_policy is None:
         raise InstanceInfeasible("no feasible pass completed")
-    q_values, worst = _evaluate(tree, best_policy)
+    q_values, worst = _evaluate(tree, best_policy, removals, root=root_id,
+                                fixed_incoming=fixed_incoming)
     return SolveOutcome(best_value, best_policy, q_values, worst, "benders",
-                        gap=float(gap), passes=passes)
+                        gap=float(gap), passes=passes, lower=lower)

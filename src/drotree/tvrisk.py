@@ -90,22 +90,26 @@ def cvar(dist: FiniteDist, alpha: float) -> float:
     """Conditional value-at-risk under the nominal distribution.
 
     alpha=0 is the mean, alpha=1 the max over positively weighted values;
-    in between the closed form
-        ((psi(v) - alpha) * v + sum_{h > v} q h) / (1 - alpha),  v = VaR_alpha.
+    in between the Rockafellar-Uryasev minimum
+        min_t  t + E[(h - t)+] / (1 - alpha),
+    taken over the support values. The expression is convex and piecewise
+    linear in t with its kinks at the support, so the scan is exact; it
+    never exceeds the max (t = max gives the max itself), which plugging
+    in a tolerance-grouped VaR_alpha could.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha outside [0, 1]")
+    h, q = dist.values, dist.probs
     if alpha <= 0.0:
-        return float(dist.probs @ dist.values)
+        return float(q @ h)
     if alpha >= 1.0:
-        return float(dist.values[dist.probs > 0].max())
-    v = var_level(dist, alpha)
-    # evaluated as v + E[(h - v)+]/(1 - alpha), which equals the closed
-    # form above but avoids the (psi(v) - alpha) cancellation: when the
-    # float mass total falls one ulp short of 1 and alpha lands on that
-    # same float, the subtraction form would lose the whole tail
-    gain = float(dist.probs @ np.maximum(dist.values - v, 0.0))
-    return v + gain / (1.0 - alpha)
+        return float(h[q > 0].max())
+    # one dot product per candidate t: the stacked matmul runs the same
+    # kernel as q @ x, where a single matrix-vector product would round
+    # the sums differently
+    excess = np.maximum(h - h[:, None], 0.0)
+    gains = np.matmul(excess[:, None, :], q[:, None])[:, 0, 0]
+    return float(np.min(h + gains / (1.0 - alpha)))
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:

@@ -1,7 +1,12 @@
-"""Hand-built instances shared by several test modules."""
+"""Hand-built instances and oracle checks shared by several test
+modules."""
 
 import numpy as np
 
+from drotree.effectiveness import EFFECTIVE, INEFFECTIVE
+from drotree.errors import InvalidRemoval
+from drotree.oracle import PATHS, RemovalSet, assess_paths
+from drotree.solver import SolveOutcome, _evaluate, solve_extensive
 from drotree.tree import ScenarioTree, TreeNode, from_dict
 
 
@@ -101,3 +106,74 @@ def minimal_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def policy_value_under_removal(tree: ScenarioTree, policy,
+                               removals) -> float:
+    """Value of a fixed policy with the removed children pinned to zero,
+    for sandwich checks: restricted optimum <= this <= baseline."""
+    q_values, _ = _evaluate(tree, policy, removals=removals,
+                            check_feasibility=False)
+    return q_values[tree.root()]
+
+
+def verify_monotonicity(tree: ScenarioTree, small: RemovalSet,
+                        large: RemovalSet,
+                        outcome: SolveOutcome | None = None):
+    """Check that removing more paths cannot raise the assessment value.
+    Returns (holds, small result, large result); pairs whose larger set
+    is infeasible are vacuously fine by the +inf convention."""
+    if not small.ids <= large.ids:
+        raise InvalidRemoval("sets are not nested")
+    if outcome is None:
+        outcome = solve_extensive(tree)
+    r_small = assess_paths(tree, small, outcome)
+    r_large = assess_paths(tree, large, outcome)
+    if r_large.infeasible:
+        return True, r_small, r_large
+    tol = 1e-8 * max(1.0, abs(r_small.value))
+    return r_large.value <= r_small.value + tol, r_small, r_large
+
+
+def verify_union_intersection(tree: ScenarioTree, s_eff: RemovalSet,
+                              s_ineff: RemovalSet, s_any: RemovalSet,
+                              outcome: SolveOutcome | None = None) -> dict:
+    """Check the closure facts on a triple: effective sets absorb unions,
+    ineffective sets pass to intersections and subsets. The first two
+    arguments must already carry the stated verdicts (re-checked here)."""
+    if outcome is None:
+        outcome = solve_extensive(tree)
+    r_eff = assess_paths(tree, s_eff, outcome)
+    r_ineff = assess_paths(tree, s_ineff, outcome)
+    if r_eff.verdict != EFFECTIVE:
+        raise InvalidRemoval("s_eff is not effective on this instance")
+    if r_ineff.verdict != INEFFECTIVE:
+        raise InvalidRemoval("s_ineff is not ineffective on this instance")
+
+    union = RemovalSet(PATHS, s_eff.ids | s_any.ids)
+    r_union = assess_paths(tree, union, outcome)
+    union_ok = r_union.verdict == EFFECTIVE
+
+    inter_ids = s_ineff.ids & s_any.ids
+    if inter_ids:
+        r_inter = assess_paths(tree, RemovalSet(PATHS, inter_ids), outcome)
+        inter_ok = r_inter.verdict == INEFFECTIVE
+        inter_value = r_inter.value
+    else:
+        # empty removal changes nothing by convention
+        inter_ok, inter_value = True, outcome.objective
+
+    sub_ids = frozenset(sorted(s_ineff.ids)[:max(1, len(s_ineff.ids) // 2)])
+    r_sub = assess_paths(tree, RemovalSet(PATHS, sub_ids), outcome)
+    sub_ok = r_sub.verdict == INEFFECTIVE
+
+    return {
+        "union_effective": union_ok,
+        "intersection_ineffective": inter_ok,
+        "subset_ineffective": sub_ok,
+        "ok": union_ok and inter_ok and sub_ok,
+        "union_value": r_union.value,
+        "intersection_value": inter_value,
+        "subset_value": r_sub.value,
+        "baseline": outcome.objective,
+    }

@@ -15,15 +15,16 @@ import pytest
 from drotree.cli import main as cli_main
 from drotree.effectiveness import (EFFECTIVE, INEFFECTIVE, UNIDENTIFIED,
                                    classify_paths, classify_tree)
+from drotree.errors import InstanceInfeasible
 from drotree.gen import gen_random, gen_water_analog
 from drotree.lp import solve_lp, OPTIMAL
-from drotree.oracle import (PATHS, REALIZATIONS, RemovalSet, assess_paths,
-                            assess_realizations, verify_monotonicity,
-                            verify_union_intersection)
+from drotree.oracle import (BENDERS_TOL, PATHS, REALIZATIONS, RemovalSet,
+                            _verdict, assess_paths, assess_realizations)
 from drotree.solver import build_extensive, solve_benders, solve_extensive
 from drotree.tree import to_dict
 from drotree.tvrisk import FiniteDist, worst_case_expectation
 
+from helpers import verify_monotonicity, verify_union_intersection
 from test_tvrisk import lp_worst_case
 
 
@@ -82,6 +83,36 @@ def classifier_corpus():
         }
         runs.append((tree, out, cond, paths, cond_oracle, path_oracle))
     return runs
+
+
+@pytest.fixture(scope="module")
+def removal_corpus(classifier_corpus):
+    """Every single-leaf and single-realization removal on the classifier
+    corpus, with its restricted extensive root LP value (None when the
+    restriction is infeasible) and the oracle's result for it."""
+    cases = []
+    for tree, out, _, _, cond_oracle, path_oracle in classifier_corpus:
+        for nid in (n.id for n in tree.nodes if n.stage >= 2):
+            parent = tree.parent(nid)
+            grand = tree.parent(parent)
+            routes = [(path_oracle.get(nid), None, None),
+                      (cond_oracle[nid], parent,
+                       None if grand is None else out.policy[grand])]
+            for res, root, incoming in routes:
+                if res is None:
+                    continue  # not a leaf: no path removal
+                removals = {parent: {nid}}
+                try:
+                    lp, _ = build_extensive(tree, removals=removals,
+                                            root=root,
+                                            fixed_incoming=incoming)
+                    sol = solve_lp(lp)
+                    value = (sol.objective_value if sol.status == OPTIMAL
+                             else None)
+                except InstanceInfeasible:
+                    value = None
+                cases.append((tree, removals, root, incoming, value, res))
+    return cases
 
 
 def test_criterion_01_closed_form_matches_lp_oracle():
@@ -335,3 +366,37 @@ def test_criterion_10_classify_is_deterministic(tmp_path):
         blobs.append(out.read_bytes())
     report(10, "repeated classify runs are byte-identical",
            blobs[0] == blobs[1])
+
+
+def test_criterion_11_benders_with_removals_matches_root_lp(removal_corpus):
+    worst = 0.0
+    solved = 0
+    for tree, removals, root, incoming, value, _ in removal_corpus:
+        try:
+            ben = solve_benders(tree, tol=BENDERS_TOL, removals=removals,
+                                root=root, fixed_incoming=incoming)
+        except InstanceInfeasible:
+            assert value is None, f"{tree.name} {removals}: Benders infeasible"
+            continue
+        assert value is not None, f"{tree.name} {removals}: LP infeasible"
+        assert ben.lower <= value + 1e-9 * max(1.0, abs(value))
+        worst = max(worst, abs(ben.objective - value) / max(1.0, abs(value)))
+        solved += 1
+    report(11, "Benders with removals, subtree root and fixed incoming "
+           "matches the restricted root LP", worst <= 1e-8 and solved > 0,
+           f"{solved} of {len(removal_corpus)} removals, "
+           f"max rel diff {worst:.2e}")
+
+
+def test_criterion_12_oracle_matches_extensive_only_route(removal_corpus):
+    mismatches = 0
+    for tree, removals, _, _, value, res in removal_corpus:
+        if value is None:
+            want = (EFFECTIVE, True, False)
+        else:
+            _, label, borderline = _verdict(value, res.baseline)
+            want = (label, False, borderline)
+        mismatches += (res.verdict, res.infeasible, res.borderline) != want
+    report(12, "oracle verdicts and flags equal the extensive-only route",
+           mismatches == 0,
+           f"{len(removal_corpus)} assessments, {mismatches} mismatches")

@@ -1,9 +1,11 @@
+import functools
 import json
 
 import pytest
 
+import drotree.cli as cli
 from drotree.cli import dump_json, format_float, main
-from drotree.solver import solve_extensive
+from drotree.solver import solve_benders, solve_extensive
 from drotree.tree import load_instance, to_dict
 
 from helpers import leaf_value_tree
@@ -49,6 +51,30 @@ def test_solve_both_cross_checks(tmp_path):
     assert blob["cross_check"]["benders_gap"] <= 1e-6
 
 
+def test_benders_stopping_early_warns_once(tmp_path, capsys, monkeypatch):
+    inst = str(tmp_path / "r.json")
+    run("gen", "--random", "3,3,3", "--out", inst)
+    ok = str(tmp_path / "ok.json")
+    assert run("solve", inst, "--solver", "benders", "--out", ok) == 0
+    assert "warning" not in capsys.readouterr().err
+
+    monkeypatch.setattr(cli, "solve_benders",
+                        functools.partial(solve_benders, max_iter=1))
+    for solver in ("benders", "both"):
+        out = str(tmp_path / f"{solver}.json")
+        assert run("solve", inst, "--solver", solver, "--out", out) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "after 1 passes" in warnings[0]
+        blob = json.loads(open(out).read())
+        gap = blob["gap"] if solver == "benders" else \
+            blob["cross_check"]["benders_gap"]
+        assert gap > 1e-6
+    assert list(json.loads(open(str(tmp_path / "benders.json")).read())) \
+        == list(json.loads(open(ok).read()))
+
+
 def test_dump_lp_writes_file(tmp_path):
     inst = str(tmp_path / "r.json")
     lp = str(tmp_path / "r.lp")
@@ -84,6 +110,36 @@ def test_classify_oracle_agreement(tmp_path):
     blob = json.loads(open(rep).read())
     assert blob["oracle"]["n_disagreements"] == 0
     assert blob["oracle"]["n_checked"] > 0
+
+
+def test_classify_oracle_jobs_match_serial(tmp_path, monkeypatch):
+    rand = str(tmp_path / "r.json")
+    run("gen", "--random", "9,3,2", "--out", rand)
+    # c2_only on this tree disagrees with the oracle, so the report
+    # carries assessment values
+    knife = write_instance(
+        tmp_path, leaf_value_tree([1.0, 2.0, 3.0], q=[0.2, 0.5, 0.3]), "k.json")
+    for inst, rule in ((rand, "c1_plus_c2"), (knife, "c2_only")):
+        reps = []
+        for jobs in ("1", "2"):
+            rep = str(tmp_path / f"rep{jobs}.json")
+            run("classify", inst, "--oracle", "--c2-rule", rule,
+                "--jobs", jobs, "--out", rep)
+            reps.append(open(rep, "rb").read())
+        assert reps[0] == reps[1]
+
+    # workers take the parent's solve from the payload instead of
+    # re-solving the instance
+    tree = load_instance(knife)
+    out = solve_extensive(tree)
+    items = [("cond", "l1", "Ineffective"), ("path", "l1", "Ineffective")]
+    want = cli._run_oracle_checks(tree, out, items)
+
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("worker re-solved the baseline")
+
+    monkeypatch.setattr(cli, "solve_extensive", no_resolve)
+    assert cli._oracle_worker((knife, out, items)) == want
 
 
 def test_strict_oracle_flags_unsound_rule_variant(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drotree.lp import LinearProgram, solve_lp, OPTIMAL
 from drotree.tvrisk import (FiniteDist, psi, var_level, cvar, tv_distance,
@@ -48,6 +48,15 @@ def test_worked_var_and_cvar_values():
     assert cvar(THIRDS, 0.0) == pytest.approx(2.0)
     assert cvar(THIRDS, 1.0) == pytest.approx(3.0)
     assert cvar(THIRDS, 0.5) == pytest.approx(8.0 / 3.0)
+
+
+def test_cvar_never_exceeds_the_max():
+    # values within the VaR grouping tolerance of each other: the tail
+    # gain divided by 1 - alpha used to push cvar far past the max
+    d = FiniteDist(np.array([1000.0, 1000.0 + 9e-7]), np.array([0.5, 0.5]))
+    assert cvar(d, 0.9999) == 1000.0 + 9e-7
+    d = FiniteDist(np.array([0.0, 9e-10]), np.array([0.5, 0.5]))
+    assert cvar(d, 0.999) == 9e-10
 
 
 def test_var_edges():
@@ -176,6 +185,7 @@ def test_property_closed_form_matches_lp(d, gamma):
 
 @settings(max_examples=80, deadline=None)
 @given(dists(), st.floats(0, 1))
+@example(FiniteDist(np.array([0.0, 6.5e-10]), np.array([0.5, 0.5])), 0.875)
 def test_property_cvar_matches_scan(d, alpha):
     assert cvar(d, alpha) == pytest.approx(
         cvar_scan(d.values, d.probs, alpha), abs=1e-9)
