@@ -248,18 +248,20 @@ def _cmd_classify(args) -> int:
 
 def _cmd_assess(args) -> int:
     tree = load_instance(args.instance)
-    out = solve_extensive(tree)
     results = []
     if args.paths:
         removal = RemovalSet(PATHS, frozenset(args.paths.split(",")))
-        res = assess_paths(tree, removal, out)
+        res = assess_paths(tree, removal)
+        baseline = res.baseline
         results.append(assessment_json(removal, res))
     else:
+        out = solve_extensive(tree)
+        baseline = out.objective
         removal = RemovalSet(REALIZATIONS,
                              frozenset(args.realizations.split(",")))
         for nid, res in assess_realizations(tree, removal, out).items():
             results.append(assessment_json(removal, res))
-    blob = {"instance": tree.name, "baseline": out.objective,
+    blob = {"instance": tree.name, "baseline": baseline,
             "results": results}
     _emit(dump_json(blob) + "\n", args.out)
     return 0

@@ -31,7 +31,6 @@ from .solver import (
     build_extensive,
     check_removals,
     solve_benders,
-    solve_extensive,
 )
 from .tree import ScenarioTree
 
@@ -148,12 +147,15 @@ def assess_paths(tree: ScenarioTree, removal: RemovalSet,
     """Solve the path assessment problem: the same nested problem except
     that each affected last-stage ambiguity set has the removed leaves
     pinned to zero probability. Compares against the unrestricted
-    optimum (solved here unless passed in)."""
+    optimum, taken from `outcome` or, without one, from the extensive
+    root LP alone: a path assessment needs no policy."""
     _validate_paths(tree, removal)
     if outcome is None:
-        outcome = solve_extensive(tree)
-    return _assess(tree, _group_by_parent(tree, removal.ids),
-                   outcome.objective)
+        lp, _ = build_extensive(tree)
+        baseline = float(_solve_or_raise(lp, "instance").objective_value)
+    else:
+        baseline = outcome.objective
+    return _assess(tree, _group_by_parent(tree, removal.ids), baseline)
 
 
 def assess_realizations(tree: ScenarioTree, removal: RemovalSet,

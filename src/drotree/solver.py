@@ -98,11 +98,12 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
         theta >= c'x + gamma*u + (1-gamma)*eta + sum_c q_c * s_c,
         u >= theta_c,   s_c >= theta_c - eta,  s_c >= 0,
 
-    whose minimum over (u, eta, s) is the worst-case expected child value.
-    Nodes with removed children instead carry the dual of the restricted
-    inner maximum; check_removals rejects empty restricted sets first,
-    because their dual is unbounded and the rows would silently lose
-    meaning. Returns (LinearProgram, VarMap).
+    whose minimum over (u, eta, s) is the worst-case expected child value
+    gamma*sup + (1-gamma)*cvar_gamma. At a node with removed children the
+    rows u >= theta_c and s_c >= theta_c - eta of the removed c are left
+    out and the weights q_c stay: the minimum is then the restricted
+    worst case of tvrisk.worst_case_expectation. Returns
+    (LinearProgram, VarMap).
     """
     removals = check_removals(tree, removals)
     root_id = _subtree_root(tree, root, fixed_incoming)
@@ -154,46 +155,25 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
             continue
         g = tree.gamma_for_children_of(nid)
         q = tree.q_children(nid)
-        if nid in removals:
-            # dual of the restricted inner maximum
-            lam = new_var(-math.inf, math.inf)
-            m = new_var(0.0, math.inf)
-            av = {c: new_var(0.0, math.inf) for c in kids}
-            bv = {c: new_var(0.0, math.inf) for c in kids}
-            value_row[lam] = -1.0
-            if g > 0.0:
-                value_row[m] = -g
+        kept = [c for c in kids if c not in removals.get(nid, ())]
+        u = eta = None
+        svars = {}
+        if g > 0.0:
+            u = new_var(-math.inf, math.inf)
+            value_row[u] = -g
+        if g < 1.0:
+            eta = new_var(-math.inf, math.inf)
+            value_row[eta] = -(1.0 - g)
             for c, qc in zip(kids, q):
-                if qc != 0.0:
-                    value_row[av[c]] = -qc
-                    value_row[bv[c]] = qc
-            rows.append((value_row, ">=", 0.0))
-            for c in kids:
-                if c not in removals[nid]:
-                    rows.append(({lam: 1.0, av[c]: 1.0, bv[c]: -1.0,
-                                  thetas[c]: -1.0}, ">=", 0.0))
-                rows.append(({m: 0.5, av[c]: -1.0, bv[c]: -1.0}, ">=", 0.0))
-        else:
-            u = eta = None
-            if g > 0.0:
-                u = new_var(-math.inf, math.inf)
-                value_row[u] = -g
-            if g < 1.0:
-                eta = new_var(-math.inf, math.inf)
-                value_row[eta] = -(1.0 - g)
-            svars = {}
-            if g < 1.0:
-                for c, qc in zip(kids, q):
-                    if qc == 0.0:
-                        continue
+                if qc != 0.0 and c in kept:
                     svars[c] = new_var(0.0, math.inf)
                     value_row[svars[c]] = -qc
-            rows.append((value_row, ">=", 0.0))
-            if u is not None:
-                for c in kids:
-                    rows.append(({u: 1.0, thetas[c]: -1.0}, ">=", 0.0))
-            for c, s in svars.items():
-                rows.append(({s: 1.0, eta: 1.0, thetas[c]: -1.0}, ">=", 0.0))
+        rows.append((value_row, ">=", 0.0))
+        if u is not None:
+            for c in kept:
+                rows.append(({u: 1.0, thetas[c]: -1.0}, ">=", 0.0))
+        for c, s in svars.items():
+            rows.append(({s: 1.0, eta: 1.0, thetas[c]: -1.0}, ">=", 0.0))
 
     objective = np.zeros(len(lo))
     objective[thetas[root_id]] = 1.0
@@ -224,17 +204,19 @@ def _risk_of_children(tree, nid, child_values, removals):
 
 
 def _evaluate(tree: ScenarioTree, policy, removals=None,
-              check_feasibility=True, root=None, fixed_incoming=None):
+              check_feasibility=True, root=None, fixed_incoming=None,
+              nlps=None):
     """Bottom-up node values at a fixed policy on the (sub)tree hanging at
     `root`, whose parent decision is `fixed_incoming`; also the worst-case
-    child distributions realized along the way."""
+    child distributions realized along the way. `nlps` holds the node LPs
+    by id when the caller has built them already."""
     removals = {k: frozenset(v) for k, v in (removals or {}).items() if v}
     root_id = tree.root() if root is None else root
     q_values: dict[str, float] = {}
     worst: dict[str, tuple[float, ...]] = {}
     for level in reversed(_levels(tree, root_id)):
         for nid in level:
-            nlp = tree.node_lp(nid)
+            nlp = nlps[nid] if nlps is not None else tree.node_lp(nid)
             x = np.asarray(policy[nid], dtype=float)
             if check_feasibility:
                 incoming = (fixed_incoming if nid == root_id
@@ -346,10 +328,9 @@ def _theta_floor(nlps) -> float:
 class _BendersNode:
     """One node's LP data plus its growing cut pool."""
 
-    def __init__(self, tree, nid, theta_floor):
-        self.nid = nid
-        self.nlp = tree.node_lp(nid)
-        self.is_leaf = not tree.children(nid)
+    def __init__(self, nlp, is_leaf, theta_floor):
+        self.nlp = nlp
+        self.is_leaf = is_leaf
         self.theta_floor = theta_floor
         self.opt_cuts: list[tuple[np.ndarray, float]] = []   # theta >= b'x+a
         self.feas_cuts: list[tuple[np.ndarray, float]] = []  # g'x <= r
@@ -414,10 +395,12 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     the outcome records the achieved gap and lower bound either way.
 
     `removals`, `root` and `fixed_incoming` mean what they mean for
-    build_extensive. At a node with removed children the cut weights come
-    from the restricted worst case; that maximum over a smaller set of
-    distributions is still convex and monotone in the child values, so
-    its cuts stay valid.
+    build_extensive. Cut weights and upper bounds use the one closed form
+    of tvrisk.worst_case_expectation at every node: gamma*sup + (1-gamma)*
+    cvar over the kept children, with the level lowered by the removed
+    mass. That maximum over a smaller set of distributions is still
+    convex and monotone in the child values, so its cuts stay valid.
+    Each node LP is materialized once per call and reused by every pass.
     """
     removals = check_removals(tree, removals)
     root_id = _subtree_root(tree, root, fixed_incoming)
@@ -427,7 +410,8 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     ids = [nid for level in levels for nid in level]
     nlps = {nid: tree.node_lp(nid) for nid in ids}
     floor = _theta_floor(nlps)
-    work = {nid: _BendersNode(tree, nid, floor) for nid in ids}
+    work = {nid: _BendersNode(nlps[nid], not tree.children(nid), floor)
+            for nid in ids}
 
     best_value = math.inf
     best_policy = None
@@ -463,7 +447,7 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
 
         lower = float(fwd[root_id].objective_value)
         q_values, _ = _evaluate(tree, xvals, removals, check_feasibility=False,
-                                root=root_id)
+                                root=root_id, nlps=nlps)
         value = q_values[root_id]
         if value < best_value:
             best_value = value
@@ -503,6 +487,6 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     if best_policy is None:
         raise InstanceInfeasible("no feasible pass completed")
     q_values, worst = _evaluate(tree, best_policy, removals, root=root_id,
-                                fixed_incoming=fixed_incoming)
+                                fixed_incoming=fixed_incoming, nlps=nlps)
     return SolveOutcome(best_value, best_policy, q_values, worst, "benders",
                         gap=float(gap), passes=passes, lower=lower)

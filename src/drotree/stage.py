@@ -38,11 +38,15 @@ class Coef:
     @staticmethod
     def parse(obj) -> "Coef":
         if isinstance(obj, (int, float)):
-            return Coef.const(float(obj))
-        if isinstance(obj, dict) and "xi" in obj:
-            return Coef(str(obj["xi"]), float(obj.get("scale", 1.0)),
+            coef = Coef.const(float(obj))
+        elif isinstance(obj, dict) and "xi" in obj:
+            coef = Coef(str(obj["xi"]), float(obj.get("scale", 1.0)),
                         float(obj.get("offset", 0.0)))
-        raise ParseError(f"bad coefficient spec {obj!r}")
+        else:
+            raise ParseError(f"bad coefficient spec {obj!r}")
+        if not (math.isfinite(coef.scale) and math.isfinite(coef.offset)):
+            raise ValidationError(f"non-finite coefficient {obj!r}")
+        return coef
 
     def to_json(self):
         if self.field is None:
@@ -109,6 +113,8 @@ def parse_template(obj, where: str) -> StageTemplate:
                 for lo, hi in vb)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: malformed template ({exc})") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
     return StageTemplate(n, cost, tuple(rows), bounds)
 
 

@@ -8,6 +8,7 @@ downstream ordering (risk maximizers, reports, exports) inherits it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import (MixedStages, ParseError, StageOutOfRange, UnknownNode,
@@ -100,6 +101,17 @@ class ScenarioTree:
             if not 0.0 <= nd.q_cond <= 1.0 + 1e-12:
                 raise ValidationError(
                     f"node {nd.id!r}: q {nd.q_cond!r} outside [0, 1]")
+            where = f"node {nd.id!r}"
+            for key, v in nd.xi.items():
+                if not math.isfinite(v):
+                    raise ValidationError(f"{where}: xi field {key!r} is {v!r}")
+            for j, (lo, hi) in enumerate(
+                    self.stage_templates[nd.stage - 1].var_bounds):
+                if hi is not None and \
+                        lo.value(nd.xi, where) > hi.value(nd.xi, where):
+                    raise ValidationError(
+                        f"{where}: variable {j} has lower bound above "
+                        "upper bound")
         for nd in self.nodes:
             kids = self._children[nd.id]
             if nd.stage < self.T and not kids:

@@ -9,6 +9,10 @@ For radius gamma in [0, 1] the worst case of E_p[h] over
 with the conditional value-at-risk taken under the nominal q. The sup runs
 over every child present in the support, including zero-probability ones;
 cvar at level 1 is the max over positively weighted children only.
+With some children forced to zero probability (removed nominal mass
+m <= gamma) the same formula holds over the kept children, under the
+nominal conditioned on them, at level (gamma - m) / (1 - m). Both cases
+are closed forms; no LP is solved here.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .lp import LinearProgram, solve_lp, OPTIMAL
 
 PROB_SUM_TOL = 1e-12
 REMOVAL_FEAS_TOL = 1e-10
@@ -121,35 +123,63 @@ def _ascending(dist: FiniteDist) -> np.ndarray:
     return np.argsort(dist.values, kind="stable")
 
 
-def worst_case_expectation(dist: FiniteDist, gamma: float) -> WorstCaseResult:
-    """Closed-form worst case of E_p[h] over the TV ball of radius gamma.
+def worst_case_expectation(dist: FiniteDist, gamma: float,
+                           removed=()) -> WorstCaseResult:
+    """Closed-form worst case of E_p[h] over the TV ball of radius gamma,
+    with p forced to zero on the `removed` children (indices), over the
+    kept children K: gamma * sup_K + (1 - gamma) * cvar_a(q_K / (1 - m)),
+    a = (gamma - m) / (1 - m), for removed nominal mass m.
 
-    The returned maximizer starts from q, adds delta = min(gamma,
-    1 - mass(argmax)) to the first max-value child, and drains the same
-    amount from the lowest-value children upward, each floored at zero.
+    The returned maximizer starts from q with the removed children
+    zeroed, adds delta = min(gamma, 1 - mass(argmax_K)) to the first
+    max-value kept child, and drains delta - m from the lowest-value kept
+    children upward, each floored at zero. Callers keep some child and m
+    within REMOVAL_FEAS_TOL of gamma; m is clamped to gamma, so a rounding
+    excess such as 0.1 + 0.2 against 0.3 still gives a in [0, 1].
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma outside [0, 1]")
     h, q = dist.values, dist.probs
-    sup = float(h.max())
-    tol = _eq_tol(sup)
-    if gamma <= 0.0:
-        return WorstCaseResult(float(q @ h), q.copy(), True)
-
-    value = gamma * sup + (1.0 - gamma) * cvar(dist, gamma)
-
-    maxmask = h >= sup - tol
-    delta = min(gamma, 1.0 - float(q[maxmask].sum()))
     p = q.astype(float).copy()
+    if not removed:
+        if gamma <= 0.0:
+            return WorstCaseResult(float(q @ h), p, True)
+        sup = float(h.max())
+        value = gamma * sup + (1.0 - gamma) * cvar(dist, gamma)
+        m = 0.0
+        tol = _eq_tol(sup)
+        maxmask = h >= sup - tol
+        skip = maxmask
+    else:
+        gone = sorted(removed)
+        kept = np.ones(dist.n, dtype=bool)
+        kept[gone] = False
+        p[gone] = 0.0
+        sup = float(h[kept].max())
+        m = min(float(q[gone].sum()), gamma)
+        kept_mass = float(q[kept].sum())
+        if gamma >= 1.0 or kept_mass <= 0.0:
+            value = sup  # the cvar term carries weight 1 - gamma = 0
+        else:
+            # kept_mass is 1 - m up to rounding; dividing by it keeps the
+            # conditional nominal a distribution when m was clamped
+            tail = FiniteDist(h[kept], q[kept] / kept_mass)
+            value = (gamma * sup + (1.0 - gamma)
+                     * cvar(tail, (gamma - m) / (1.0 - m)))
+        tol = _eq_tol(sup)
+        maxmask = kept & (h >= sup - tol)
+        skip = maxmask | ~kept
+
+    delta = min(gamma, 1.0 - float(q[maxmask].sum()))
     first_max = int(np.flatnonzero(maxmask)[0])
     p[first_max] += delta
-    need = delta
+    need = delta - m
     order = _ascending(dist)
     marginal = -1
     for idx in order:
         if need <= 1e-15:
             break
-        if maxmask[idx]:
+        if skip[idx]:
             continue
         take = min(q[idx], need)
         p[idx] -= take
@@ -160,12 +190,12 @@ def worst_case_expectation(dist: FiniteDist, gamma: float) -> WorstCaseResult:
 
     n_max = int(maxmask.sum())
     tight = True
-    if n_max > 1:
+    if n_max > 1 and gamma > 0.0:
         tight = False
     elif marginal >= 0:
-        # partially drained child: any same-valued sibling with mass left
-        # could have been drained instead
-        group = (np.abs(h - h[marginal]) <= tol) & ~maxmask & (q > 0)
+        # partially drained child: any same-valued kept sibling with mass
+        # left could have been drained instead
+        group = (np.abs(h - h[marginal]) <= tol) & ~skip & (q > 0)
         if int(group.sum()) > 1:
             tight = False
     return WorstCaseResult(float(value), p, tight)
@@ -175,64 +205,20 @@ def worst_case_expectation_restricted(
         dist: FiniteDist, gamma: float,
         removed: set[int] | frozenset[int]) -> WorstCaseResult | None:
     """Worst case over the TV ball with p forced to zero on `removed`
-    (indices). Returns None when the restriction empties the ball, which
-    happens exactly when the removed nominal mass exceeds gamma (beyond
-    tolerance) or every child is removed.
-
-    Solved as an LP with the absolute deviations split into two-sided
-    bound rows, so it exercises the same machinery the assessment
-    problems use.
-    """
+    (indices): the closed form of worst_case_expectation. Returns None
+    when the restriction empties the ball, which happens exactly when the
+    removed nominal mass exceeds gamma (beyond tolerance) or every child
+    is removed."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma outside [0, 1]")
     removed = frozenset(int(i) for i in removed)
-    for i in removed:
-        if not 0 <= i < dist.n:
-            raise ValueError(f"removed index {i} out of range")
-    if len(removed) == dist.n:
+    bad = sorted(i for i in removed if not 0 <= i < dist.n)
+    if bad:
+        raise ValueError(f"removed indices {bad} out of range")
+    mass = float(dist.probs[sorted(removed)].sum())
+    if len(removed) == dist.n or mass > gamma + REMOVAL_FEAS_TOL:
         return None
-    removed_mass = float(dist.probs[sorted(removed)].sum()) if removed else 0.0
-    if removed_mass > gamma + REMOVAL_FEAS_TOL:
-        return None
-
-    n = dist.n
-    h, q = dist.values, dist.probs
-    # vars: p_0..p_{n-1}, d_0..d_{n-1}; max h'p == min -h'p
-    obj = np.concatenate([-h, np.zeros(n)])
-    upper = np.full(2 * n, np.inf)
-    for i in removed:
-        upper[i] = 0.0
-    prob = LinearProgram(2 * n, obj, upper=upper)
-    prob.add_row({i: 1.0 for i in range(n)}, "=", 1.0)
-    for i in range(n):
-        prob.add_row({i: 1.0, n + i: -1.0}, "<=", float(q[i]))
-        prob.add_row({i: -1.0, n + i: -1.0}, "<=", float(-q[i]))
-    prob.add_row({n + i: 0.5 for i in range(n)}, "<=", gamma)
-    sol = solve_lp(prob)
-    if sol.status != OPTIMAL:
-        return None
-    p = sol.primal[:n].copy()
-    if removed:
-        p[np.asarray(sorted(removed), dtype=int)] = 0.0
-    value = float(h @ p)
-
-    kept = np.ones(n, dtype=bool)
-    for i in removed:
-        kept[i] = False
-    tol = _eq_tol(float(h.max()))
-    kept_sup = float(h[kept].max())
-    top = kept & (h >= kept_sup - tol)
-    drained = kept & (p < q - 1e-12)
-    tight = True
-    if int(top.sum()) > 1 and float(np.abs(p - q).sum()) > 1e-12:
-        tight = False
-    elif drained.any():
-        boundary = float(h[drained].max())
-        group = kept & (np.abs(h - boundary) <= tol) & (q > 0) & ~top
-        partially = group & (p > 1e-12)
-        if int(group.sum()) > 1 and partially.any():
-            tight = False
-    return WorstCaseResult(value, p, tight)
+    return worst_case_expectation(dist, gamma, removed)
 
 
 def categorize(dist: FiniteDist, gamma: float) -> PrimalCategories:

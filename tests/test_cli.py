@@ -195,6 +195,20 @@ def test_assess_paths_and_realizations(tmp_path):
     assert blob["results"][0]["node"] == "r"
 
 
+def test_assess_paths_baseline_is_the_root_lp(tmp_path, monkeypatch):
+    tree = leaf_value_tree([1.0, 2.0, 3.0])
+    inst = write_instance(tmp_path, tree)
+    want = format_float(solve_extensive(tree).objective)
+
+    def no_policy(*args, **kwargs):
+        raise AssertionError("solve_extensive called for a path assessment")
+
+    monkeypatch.setattr(cli, "solve_extensive", no_policy)
+    out = str(tmp_path / "a.json")
+    assert run("assess", inst, "--paths", "l1", "--out", out) == 0
+    assert f'"baseline": {want},' in open(out).read()
+
+
 def test_sweep_grid_and_rows(tmp_path, capsys):
     inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0, 3.0]))
     out = str(tmp_path / "s.csv")
@@ -254,6 +268,26 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("nonsense")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_xi_is_an_input_error(tmp_path, capsys, bad):
+    blob = to_dict(leaf_value_tree([1.0, 2.0]))
+    blob["nodes"][1]["xi"]["d"] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    assert run("solve", str(path)) == 2
+    assert "xi field 'd'" in capsys.readouterr().err
+
+
+def test_lower_bound_above_upper_is_an_input_error(tmp_path, capsys):
+    blob = to_dict(leaf_value_tree([1.0, 2.0]))
+    blob["stage_templates"][1]["var_bounds"] = [[3.0, {"xi": "d"}]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    assert run("solve", str(path)) == 2
+    assert "node 'l0': variable 0 has lower bound above upper bound" in \
+        capsys.readouterr().err
 
 
 def test_gen_water_gamma_flag(tmp_path):

@@ -1,9 +1,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import drotree.oracle as oracle
+import drotree.solver as solver_module
 from drotree.effectiveness import (
     EFFECTIVE,
     INEFFECTIVE,
@@ -34,6 +36,7 @@ from drotree.oracle import (
 from drotree.solver import (SolveOutcome, build_extensive, solve_benders,
                             solve_extensive)
 from drotree.tree import with_uniform_gamma
+from drotree.tvrisk import FiniteDist, worst_case_expectation
 
 from helpers import (leaf_value_tree, policy_value_under_removal,
                      verify_monotonicity, verify_union_intersection)
@@ -75,6 +78,40 @@ def test_remove_everything_is_infeasible_hence_effective():
         assert r.verdict == EFFECTIVE
     cond = assess_realizations(tree, reals("l0", "l1", "l2"), out)
     assert cond["r"].infeasible and cond["r"].verdict == EFFECTIVE
+
+
+def test_removed_mass_rounding_above_radius_is_admitted():
+    # removed mass 0.1 + 0.2 = 0.30000000000000004 against radius 0.3:
+    # admitted by the removal tolerance, and every route agrees on the
+    # restricted optimum 3.7, which equals the unrestricted one
+    tree = leaf_value_tree([1.0, 2.0, 3.0, 4.0], q=[0.1, 0.2, 0.3, 0.4],
+                           gamma=0.3)
+    closed = worst_case_expectation(
+        FiniteDist(np.array([1.0, 2.0, 3.0, 4.0]),
+                   np.array([0.1, 0.2, 0.3, 0.4])), 0.3, {0, 1})
+    assert closed.dist == pytest.approx([0.0, 0.0, 0.3, 0.7], abs=1e-15)
+    removals = {"r": {"l0", "l1"}}
+    root_lp = solve_lp(build_extensive(tree, removals=removals)[0])
+    ben = solve_benders(tree, removals=removals)
+    res = assess_paths(tree, paths("l0", "l1"))
+    for value in (closed.value, root_lp.objective_value, ben.objective,
+                  res.value):
+        assert value == pytest.approx(3.7, abs=1e-12)
+    assert res.baseline == pytest.approx(3.7, abs=1e-12)
+    assert res.verdict == INEFFECTIVE and not res.infeasible
+
+
+def test_path_baseline_needs_no_policy(monkeypatch):
+    def no_policy(*args, **kwargs):
+        raise AssertionError("solve_extensive called for a path assessment")
+
+    monkeypatch.setattr(solver_module, "solve_extensive", no_policy)
+    monkeypatch.setattr(oracle, "solve_extensive", no_policy, raising=False)
+    tree = leaf_value_tree([1.0, 2.0, 3.0], gamma=0.5)
+    res = assess_paths(tree, paths("l1"))
+    assert res.baseline == pytest.approx(17 / 6, abs=1e-12)
+    assert res.value == pytest.approx(16 / 6, abs=1e-12)
+    assert res.verdict == EFFECTIVE
 
 
 def test_zero_mass_child_only_matters_at_the_sup():

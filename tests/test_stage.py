@@ -95,6 +95,13 @@ def test_materialize_fills_node_data():
     assert lp.lower[0] == 0.0 and np.isinf(lp.upper[0])
 
 
+def test_non_finite_template_number_rejected():
+    for bad in (float("nan"), float("inf"), {"xi": "d", "scale": float("nan")}):
+        with pytest.raises(ValidationError, match="stage 2: non-finite"):
+            parse_template({"n_vars": 1, "cost": [bad], "rows": []},
+                           "stage 2")
+
+
 def test_materialize_missing_field_names_node():
     tree = leaf_value_tree([4.0])
     template = tree.stage_templates[1]

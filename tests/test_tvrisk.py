@@ -216,6 +216,13 @@ def test_property_restricted_never_exceeds_unrestricted(d, gamma, data):
         assert res.value <= worst_case_expectation(d, gamma).value + 1e-10
         oracle = lp_worst_case(d.values, d.probs, gamma, removed)
         assert res.value == pytest.approx(oracle, abs=1e-8)
+        # the maximizer is a distribution on the kept children, inside
+        # the ball, attaining the value
+        assert res.dist.min() >= 0.0
+        assert abs(res.dist.sum() - 1.0) <= 1e-9
+        assert all(res.dist[i] == 0.0 for i in removed)
+        assert tv_distance(res.dist, d.probs) <= gamma + 1e-9
+        assert res.dist @ d.values == pytest.approx(res.value, abs=1e-9)
 
 
 @settings(max_examples=80, deadline=None)
