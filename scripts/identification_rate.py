@@ -9,10 +9,9 @@ of the table is the identified fraction and the speedup.
 import argparse
 import time
 
-from drotree.effectiveness import UNIDENTIFIED, classify_paths, classify_tree
+from drotree.cli import _oracle_check_items, _run_oracle_checks
+from drotree.effectiveness import classify_paths, classify_tree
 from drotree.gen import gen_random
-from drotree.oracle import (PATHS, REALIZATIONS, RemovalSet, assess_paths,
-                            assess_realizations)
 from drotree.solver import solve_extensive
 
 
@@ -29,25 +28,12 @@ def run_batch(gamma, n_instances, branching, seed0):
         t_classify += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        for nid, cl in cond.items():
-            total += 1
-            if cl.label == UNIDENTIFIED:
-                continue
-            identified += 1
-            res = assess_realizations(
-                tree, RemovalSet(REALIZATIONS, frozenset([nid])), out)
-            if res[tree.parent(nid)].verdict != cl.label:
-                disagreements += 1
-        for pl in paths:
-            total += 1
-            if pl.label == UNIDENTIFIED:
-                continue
-            identified += 1
-            res = assess_paths(tree, RemovalSet(PATHS, frozenset([pl.leaf])),
-                               out)
-            if res.verdict != pl.label:
-                disagreements += 1
+        items = _oracle_check_items(tree, cond, paths)
+        records = _run_oracle_checks(tree, out, items)
         t_oracle += time.perf_counter() - t0
+        total += len(cond) + len(paths)
+        identified += len(items)
+        disagreements += sum(1 for r in records if not r["agree"])
     return identified, total, disagreements, t_classify, t_oracle
 
 

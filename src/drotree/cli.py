@@ -195,8 +195,16 @@ def _oracle_worker(payload):
 
 
 def _chunks(seq, n):
-    k = max(1, math.ceil(len(seq) / n))
-    return [seq[i:i + k] for i in range(0, len(seq), k)]
+    """Deal seq out to at most n workers in strides, so a run of costly
+    items (an oracle list's path checks) is shared out; _merge undoes it."""
+    return [seq[k::n] for k in range(min(n, len(seq)))]
+
+
+def _merge(parts):
+    """Inverse of _chunks: item i is entry i // n of part i % n."""
+    parts = list(parts)
+    n = len(parts)
+    return [parts[i % n][i // n] for i in range(sum(map(len, parts)))]
 
 
 def _cmd_classify(args) -> int:
@@ -217,11 +225,10 @@ def _cmd_classify(args) -> int:
         jobs = _resolve_jobs(args.jobs)
         if jobs > 1 and len(items) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = pool.map(
+                records = _merge(pool.map(
                     _oracle_worker,
                     [(args.instance, out, chunk)
-                     for chunk in _chunks(items, jobs)])
-                records = [r for part in parts for r in part]
+                     for chunk in _chunks(items, jobs)]))
         else:
             records = _run_oracle_checks(tree, out, items)
         disagreements = sum(1 for r in records if not r["agree"])
@@ -313,10 +320,9 @@ def _cmd_sweep(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     if jobs > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_sweep_worker,
-                             [(args.instance, chunk)
-                              for chunk in _chunks(grid, jobs)])
-            rows = [r for part in parts for r in part]
+            rows = _merge(pool.map(_sweep_worker,
+                                   [(args.instance, chunk)
+                                    for chunk in _chunks(grid, jobs)]))
     else:
         rows = [_sweep_point(tree, g) for g in grid]
     lines = ["gamma,objective,n_effective_paths,n_ineffective,n_unidentified"]

@@ -24,7 +24,6 @@ from .tvrisk import (
     REMOVAL_FEAS_TOL,
     FiniteDist,
     worst_case_expectation,
-    worst_case_expectation_restricted,
 )
 
 POLICY_FEAS_TOL = 1e-7
@@ -108,7 +107,6 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
     removals = check_removals(tree, removals)
     root_id = _subtree_root(tree, root, fixed_incoming)
     ids = tree.subtree_ids(root_id)
-    nlps = {nid: tree.node_lp(nid) for nid in ids}
 
     lo: list[float] = []
     hi: list[float] = []
@@ -121,14 +119,14 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
     xs: dict[str, list[int]] = {}
     thetas: dict[str, int] = {}
     for nid in ids:
-        nlp = nlps[nid]
+        nlp = tree.node_lp(nid)
         xs[nid] = [new_var(float(nlp.lower[j]), float(nlp.upper[j]))
                    for j in range(nlp.n_vars)]
         thetas[nid] = new_var(-math.inf, math.inf)
 
     rows: list[tuple[dict, str, float]] = []
     for nid in ids:
-        nlp = nlps[nid]
+        nlp = tree.node_lp(nid)
         x = xs[nid]
         par = tree.parent(nid)
         for self_c, link_c, sense, rhs in nlp.rows:
@@ -185,38 +183,31 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
 
 
 def _risk_of_children(tree, nid, child_values, removals):
-    """Worst-case expected child value at one node, honoring removals.
-    Returns (value, maximizer probabilities)."""
+    """Worst-case expected child value at one node, honoring the removals
+    that check_removals has validated. Returns (value, maximizer
+    probabilities)."""
     kids = tree.children(nid)
     dist = FiniteDist(np.array([child_values[c] for c in kids]),
                       np.array(tree.q_children(nid)))
-    g = tree.gamma_for_children_of(nid)
-    gone = removals.get(nid) if removals else None
-    if gone:
-        idx = [i for i, c in enumerate(kids) if c in gone]
-        res = worst_case_expectation_restricted(dist, g, idx)
-        if res is None:
-            raise InstanceInfeasible(
-                f"restricted ambiguity set at {nid!r} is empty")
-    else:
-        res = worst_case_expectation(dist, g)
+    gone = removals.get(nid, ())
+    res = worst_case_expectation(dist, tree.gamma_for_children_of(nid),
+                                 [i for i, c in enumerate(kids) if c in gone])
     return float(res.value), tuple(float(p) for p in res.dist)
 
 
 def _evaluate(tree: ScenarioTree, policy, removals=None,
-              check_feasibility=True, root=None, fixed_incoming=None,
-              nlps=None):
+              check_feasibility=True, root=None, fixed_incoming=None):
     """Bottom-up node values at a fixed policy on the (sub)tree hanging at
     `root`, whose parent decision is `fixed_incoming`; also the worst-case
-    child distributions realized along the way. `nlps` holds the node LPs
-    by id when the caller has built them already."""
+    child distributions realized along the way. Node LPs come from the
+    tree's cache (ScenarioTree.node_lp)."""
     removals = {k: frozenset(v) for k, v in (removals or {}).items() if v}
     root_id = tree.root() if root is None else root
     q_values: dict[str, float] = {}
     worst: dict[str, tuple[float, ...]] = {}
     for level in reversed(_levels(tree, root_id)):
         for nid in level:
-            nlp = nlps[nid] if nlps is not None else tree.node_lp(nid)
+            nlp = tree.node_lp(nid)
             x = np.asarray(policy[nid], dtype=float)
             if check_feasibility:
                 incoming = (fixed_incoming if nid == root_id
@@ -298,15 +289,12 @@ def solve_extensive(tree: ScenarioTree, removals=None) -> SolveOutcome:
     policy: dict[str, np.ndarray] = {
         root_id: np.array([sol.primal[j] for j in vm.x[root_id]])
     }
-    stack = [root_id]
-    while stack:
-        nid = stack.pop()
-        for c in tree.children(nid):
+    for level in _levels(tree, root_id)[1:]:
+        for c in level:
             sub_lp, sub_vm = build_extensive(
-                tree, removals, root=c, fixed_incoming=policy[nid])
+                tree, removals, root=c, fixed_incoming=policy[tree.parent(c)])
             sub_sol = _solve_or_raise(sub_lp, f"subtree at {c!r}")
             policy[c] = np.array([sub_sol.primal[j] for j in sub_vm.x[c]])
-            stack.append(c)
     q_values, worst = _evaluate(tree, policy, removals)
     return SolveOutcome(float(sol.objective_value), policy, q_values, worst,
                         "extensive")
@@ -316,10 +304,11 @@ def solve_extensive(tree: ScenarioTree, removals=None) -> SolveOutcome:
 
 
 def _theta_floor(nlps) -> float:
-    """Valid lower bound for any node's cost-to-go. Zero when every cost
-    coefficient and every variable lower bound is nonnegative (then all
-    stage costs are nonnegative); otherwise a crude large constant."""
-    for nlp in nlps.values():
+    """Valid lower bound for any node's cost-to-go over these node LPs.
+    Zero when every cost coefficient and every variable lower bound is
+    nonnegative (then all stage costs are nonnegative); otherwise a crude
+    large constant."""
+    for nlp in nlps:
         if np.any(nlp.cost < 0.0) or np.any(nlp.lower < 0.0):
             return -1e8
     return 0.0
@@ -334,7 +323,6 @@ class _BendersNode:
         self.theta_floor = theta_floor
         self.opt_cuts: list[tuple[np.ndarray, float]] = []   # theta >= b'x+a
         self.feas_cuts: list[tuple[np.ndarray, float]] = []  # g'x <= r
-        self.n_template_rows = len(self.nlp.rows)
 
     def build(self, incoming) -> LinearProgram:
         nlp = self.nlp
@@ -365,14 +353,13 @@ class _BendersNode:
     def solve(self, incoming):
         return solve_lp(self.build(incoming))
 
-    def link_gradient(self, row_duals) -> np.ndarray:
-        """d(value)/d(incoming) from duals on the template rows: the rhs
-        seen by the LP is rhs - link @ incoming."""
-        n_prev = max((max(link.keys(), default=-1)
-                      for _, link, _, _ in self.nlp.rows), default=-1) + 1
-        grad = np.zeros(n_prev)
-        for i, (_, link_c, _, _) in enumerate(self.nlp.rows):
-            d = float(row_duals[i])
+    def link_gradient(self, row_duals, n_parent) -> np.ndarray:
+        """d(value)/d(incoming), one entry per parent variable, from the
+        duals on the template rows (the leading entries of row_duals; cut
+        rows follow them): the rhs seen by the LP is rhs - link @ incoming."""
+        grad = np.zeros(n_parent)
+        for dual, (_, link_c, _, _) in zip(row_duals, self.nlp.rows):
+            d = float(dual)
             if d == 0.0:
                 continue
             for j, a in link_c.items():
@@ -400,7 +387,8 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     cvar over the kept children, with the level lowered by the removed
     mass. That maximum over a smaller set of distributions is still
     convex and monotone in the child values, so its cuts stay valid.
-    Each node LP is materialized once per call and reused by every pass.
+    Node LPs come from the tree's cache (ScenarioTree.node_lp), so every
+    pass and every call on the same tree reuses them.
     """
     removals = check_removals(tree, removals)
     root_id = _subtree_root(tree, root, fixed_incoming)
@@ -408,9 +396,9 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
                      else np.asarray(fixed_incoming, dtype=float))
     levels = _levels(tree, root_id)
     ids = [nid for level in levels for nid in level]
-    nlps = {nid: tree.node_lp(nid) for nid in ids}
-    floor = _theta_floor(nlps)
-    work = {nid: _BendersNode(nlps[nid], not tree.children(nid), floor)
+    floor = _theta_floor(tree.node_lp(nid) for nid in ids)
+    work = {nid: _BendersNode(tree.node_lp(nid), not tree.children(nid),
+                              floor)
             for nid in ids}
 
     best_value = math.inf
@@ -433,21 +421,20 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
             if sol.status == INFEASIBLE:
                 if nid == root_id:
                     raise InstanceInfeasible("root subproblem infeasible")
-                grad = work[nid].link_gradient(
-                    sol.farkas[:work[nid].n_template_rows])
+                grad = work[nid].link_gradient(sol.farkas, incoming.size)
                 # w(y) >= w(y0) + grad'(y - y0) must be forced <= 0
                 rhs = float(grad @ incoming) - float(sol.phase1_value)
                 work[par].feas_cuts.append((grad, rhs))
                 cut_added = True
                 break
-            xvals[nid] = sol.primal[:nlps[nid].n_vars].copy()
+            xvals[nid] = sol.primal[:work[nid].nlp.n_vars].copy()
             fwd[nid] = sol
         if cut_added:
             continue  # repeat the pass with the strengthened parent
 
         lower = float(fwd[root_id].objective_value)
         q_values, _ = _evaluate(tree, xvals, removals, check_feasibility=False,
-                                root=root_id, nlps=nlps)
+                                root=root_id)
         value = q_values[root_id]
         if value < best_value:
             best_value = value
@@ -472,21 +459,21 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
                             raise InstanceInfeasible(
                                 f"backward child {c!r} not optimal")
                     values[c] = float(csol.objective_value)
-                    grads.append(work[c].link_gradient(
-                        csol.duals[:work[c].n_template_rows]))
+                    grads.append(work[c].link_gradient(csol.duals,
+                                                       incoming.size))
                 _, pstar = _risk_of_children(tree, nid, values, removals)
-                beta = np.zeros(nlps[nid].n_vars)
+                beta = np.zeros(incoming.size)
                 alpha = 0.0
                 for p, v, grad in zip(pstar, values.values(), grads):
                     if p == 0.0:
                         continue
-                    beta[:grad.size] += p * grad
-                    alpha += p * (v - float(grad @ incoming[:grad.size]))
+                    beta += p * grad
+                    alpha += p * (v - float(grad @ incoming))
                 work[nid].opt_cuts.append((beta, alpha))
 
     if best_policy is None:
         raise InstanceInfeasible("no feasible pass completed")
     q_values, worst = _evaluate(tree, best_policy, removals, root=root_id,
-                                fixed_incoming=fixed_incoming, nlps=nlps)
+                                fixed_incoming=fixed_incoming)
     return SolveOutcome(best_value, best_policy, q_values, worst, "benders",
                         gap=float(gap), passes=passes, lower=lower)

@@ -167,4 +167,6 @@ def materialize(template: StageTemplate, node_id: str, xi) -> NodeLP:
     lower = np.array([lo.value(xi, where) for lo, _ in template.var_bounds])
     upper = np.array([hi.value(xi, where) if hi is not None else math.inf
                       for _, hi in template.var_bounds])
+    for arr in (cost, lower, upper):
+        arr.flags.writeable = False  # the tree's cached copy is shared
     return NodeLP(node_id, cost, tuple(rows), lower, upper)

@@ -59,6 +59,7 @@ class ScenarioTree:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_children", child_map)
         object.__setattr__(self, "_root", root)
+        object.__setattr__(self, "_node_lps", {})
         self._validate()
 
     def _validate(self):
@@ -207,15 +208,21 @@ class ScenarioTree:
         return p
 
     def node_lp(self, node_id: str):
-        nd = self.node(node_id)
-        return materialize(self.stage_templates[nd.stage - 1], nd.id, nd.xi)
+        """The node's stage LP at its xi, built on the first call and
+        cached on the tree; its cost and bound arrays are read-only."""
+        if node_id not in self._node_lps:
+            nd = self.node(node_id)
+            self._node_lps[node_id] = materialize(
+                self.stage_templates[nd.stage - 1], nd.id, nd.xi)
+        return self._node_lps[node_id]
 
     def subtree_ids(self, node_id: str) -> list[str]:
-        """node_id and all descendants, canonical order."""
-        keep = {node_id}
-        for nd in self.nodes:
-            if nd.parent in keep:
-                keep.add(nd.id)
+        """node_id and all descendants, in file order (any file order)."""
+        keep, todo = set(), [node_id]
+        while todo:
+            nid = todo.pop()
+            keep.add(nid)
+            todo.extend(self.children(nid))
         return [n.id for n in self.nodes if n.id in keep]
 
 

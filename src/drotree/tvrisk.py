@@ -140,37 +140,30 @@ def worst_case_expectation(dist: FiniteDist, gamma: float,
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma outside [0, 1]")
     h, q = dist.values, dist.probs
-    p = q.astype(float).copy()
-    if not removed:
-        if gamma <= 0.0:
-            return WorstCaseResult(float(q @ h), p, True)
-        sup = float(h.max())
-        value = gamma * sup + (1.0 - gamma) * cvar(dist, gamma)
-        m = 0.0
-        tol = _eq_tol(sup)
-        maxmask = h >= sup - tol
-        skip = maxmask
+    gone = sorted(removed)
+    kept = np.ones(dist.n, dtype=bool)
+    kept[gone] = False
+    p = q.astype(float)
+    p[gone] = 0.0
+    sup = float(h[kept].max())
+    m = min(float(q[gone].sum()), gamma)
+    kept_mass = float(q[kept].sum())
+    if gamma >= 1.0 or kept_mass <= 0.0:
+        value = sup  # the cvar term carries weight 1 - gamma = 0
     else:
-        gone = sorted(removed)
-        kept = np.ones(dist.n, dtype=bool)
-        kept[gone] = False
-        p[gone] = 0.0
-        sup = float(h[kept].max())
-        m = min(float(q[gone].sum()), gamma)
-        kept_mass = float(q[kept].sum())
-        if gamma >= 1.0 or kept_mass <= 0.0:
-            value = sup  # the cvar term carries weight 1 - gamma = 0
-        else:
-            # kept_mass is 1 - m up to rounding; dividing by it keeps the
-            # conditional nominal a distribution when m was clamped
-            tail = FiniteDist(h[kept], q[kept] / kept_mass)
-            value = (gamma * sup + (1.0 - gamma)
-                     * cvar(tail, (gamma - m) / (1.0 - m)))
-        tol = _eq_tol(sup)
-        maxmask = kept & (h >= sup - tol)
-        skip = maxmask | ~kept
+        # kept_mass is 1 - m up to rounding; dividing by it keeps the
+        # conditional nominal a distribution when m was clamped. With
+        # nothing removed the tail is dist itself, m = 0 and a = gamma
+        tail = FiniteDist(h[kept], q[kept] / kept_mass) if gone else dist
+        value = (gamma * sup + (1.0 - gamma)
+                 * cvar(tail, (gamma - m) / (1.0 - m)))
+    tol = _eq_tol(sup)
+    maxmask = kept & (h >= sup - tol)
+    skip = maxmask | ~kept
 
-    delta = min(gamma, 1.0 - float(q[maxmask].sum()))
+    # at radius 0 nothing moves, even where 1 - mass(argmax) rounds below 0
+    delta = (min(gamma, 1.0 - float(q[maxmask].sum())) if gamma > 0.0
+             else 0.0)
     first_max = int(np.flatnonzero(maxmask)[0])
     p[first_max] += delta
     need = delta - m

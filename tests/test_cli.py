@@ -229,9 +229,86 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run("sweep", inst, "--gamma", "0:1:0.25", "--jobs", "1",
                "--out", a) == 0
-    monkeypatch.setenv("DROTREE_JOBS", "2")
-    assert run("sweep", inst, "--gamma", "0:1:0.25", "--out", b) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    # five grid points: 3 + 2 over two workers, 2 + 2 + 1 over three
+    for jobs in ("2", "3"):
+        monkeypatch.setenv("DROTREE_JOBS", jobs)
+        assert run("sweep", inst, "--gamma", "0:1:0.25", "--out", b) == 0
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_chunks_deal_in_strides_and_merge_back():
+    for size in range(0, 12):
+        seq = list(range(size))
+        for n in range(1, 6):
+            parts = cli._chunks(seq, n)
+            assert len(parts) == min(n, size)
+            assert all(parts)
+            lens = [len(p) for p in parts]
+            assert not lens or max(lens) - min(lens) <= 1
+            assert cli._merge(parts) == seq
+    # costly items at the end of the list are shared out, not bunched
+    assert cli._chunks(list("aaaabbbb"), 2) == [list("aabb"), list("aabb")]
+
+
+def test_benders_feasibility_cut_on_partial_link(tmp_path):
+    # the stage-2 row links to x0 only, while the root has two variables;
+    # pushing x0 above 2 makes both children infeasible, so Benders must
+    # cut the root with a two-entry gradient
+    blob = {
+        "name": "partial-link", "stages": 2, "gamma": [0.3],
+        "nodes": [
+            {"id": "r", "stage": 1, "parent": None, "q": 1.0, "xi": {}},
+            {"id": "a", "stage": 2, "parent": "r", "q": 0.5, "xi": {}},
+            {"id": "b", "stage": 2, "parent": "r", "q": 0.5, "xi": {}},
+        ],
+        "stage_templates": [
+            {"n_vars": 2, "cost": [-1.0, 1.0], "rows": [],
+             "var_bounds": [[0.0, 10.0], [0.0, 10.0]]},
+            {"n_vars": 1, "cost": [1.0],
+             "rows": [{"self": {"0": 1.0}, "link": {"0": -1.0},
+                       "sense": ">=", "rhs": -1.0}],
+             "var_bounds": [[0.0, 1.0]]},
+        ],
+    }
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(blob))
+    out = str(tmp_path / "out.json")
+    for solver in ("extensive", "benders"):
+        assert run("solve", str(path), "--solver", solver, "--out", out) == 0
+        assert json.loads(open(out).read())["objective"] == -1.0
+    assert run("solve", str(path), "--solver", "both", "--out", out) == 0
+    check = json.loads(open(out).read())["cross_check"]
+    assert check["benders"] == -1.0
+    assert check["rel_diff"] == 0.0
+
+
+def test_nodes_in_any_file_order(tmp_path):
+    inst = str(tmp_path / "r.json")
+    run("gen", "--random", "3,3,3", "--out", inst)
+    blob = json.loads(open(inst).read())
+    blob["nodes"] = blob["nodes"][::-1]  # leaves first, root last
+    flipped = str(tmp_path / "flipped.json")
+    with open(flipped, "w") as fh:
+        json.dump(blob, fh)
+
+    def objective(path, solver):
+        out = str(tmp_path / "out.json")
+        assert run("solve", path, "--solver", solver, "--out", out) == 0
+        return json.loads(open(out).read())["objective"]
+
+    for solver in ("extensive", "benders", "both"):
+        want = objective(inst, solver)
+        got = objective(flipped, solver)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def labels(path):
+        out = str(tmp_path / "rep.json")
+        assert run("classify", path, "--out", out) == 0
+        rep = json.loads(open(out).read())
+        return ({n["id"]: n["cond_label"] for n in rep["nodes"]},
+                {p["id"]: p["path_label"] for p in rep["leaves"]})
+
+    assert labels(flipped) == labels(inst)
 
 
 def test_exit_codes(tmp_path):

@@ -136,6 +136,25 @@ def test_water_analog_cross_solver():
     assert max(vals, key=vals.get) == "LHD"
 
 
+def test_each_node_lp_is_built_once_per_tree(monkeypatch):
+    import drotree.tree as tree_module
+
+    built = []
+    real = tree_module.materialize
+
+    def counting(template, node_id, xi):
+        built.append(node_id)
+        return real(template, node_id, xi)
+
+    monkeypatch.setattr(tree_module, "materialize", counting)
+    tree = gen_water_analog(0, gamma=0.95)
+    solve_extensive(tree)
+    assert len(built) == len(tree.nodes) == 73
+    solve_extensive(tree)
+    solve_benders(tree)
+    assert len(built) == 73
+
+
 def test_recursion_consistency_and_subtree_probes():
     tree = gen_random(21, T=3, branching=3, n_vars=2, gamma=0.4)
     out = solve_extensive(tree)

@@ -119,3 +119,12 @@ def test_materialize_xi_driven_cost_and_bound():
     lp = materialize(t, "n", {"c": 5.0, "cap": 2.0})
     assert lp.cost[0] == 5.0
     assert lp.lower[0] == 0.0 and lp.upper[0] == 2.0
+
+
+def test_node_lp_is_built_once_and_read_only():
+    tree = leaf_value_tree([4.0, 7.0])
+    lp = tree.node_lp("l1")
+    assert tree.node_lp("l1") is lp
+    for arr in (lp.cost, lp.lower, lp.upper):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -196,6 +196,14 @@ def test_subtree_ids_covers_descendants():
     tree = chain_tree(depth=3)
     assert tree.subtree_ids("n2") == ["n2", "n3"]
     assert tree.subtree_ids("n1") == ["n1", "n2", "n3"]
+    # children listed before their parents: same sets, still file order
+    d = to_dict(tree)
+    d["nodes"] = d["nodes"][::-1]
+    flipped = from_dict(d)
+    assert flipped.subtree_ids("n1") == ["n3", "n2", "n1"]
+    assert flipped.subtree_ids("n2") == ["n3", "n2"]
+    with pytest.raises(UnknownNode):
+        flipped.subtree_ids("ghost")
 
 
 def test_load_instance_from_file(tmp_path):
