@@ -43,6 +43,8 @@ USAGE_ERROR = 2
 INSTANCE_ERROR = 3
 DISAGREEMENT_ERROR = 4
 
+MAX_GRID_POINTS = 100_000   # largest `sweep --gamma` grid
+
 
 # ---------------------------------------------------------------- output
 
@@ -253,19 +255,27 @@ def _cmd_classify(args) -> int:
 
 # ---------------------------------------------------------------- assess
 
+def _id_set(flag: str, spec: str) -> frozenset:
+    ids = spec.split(",")
+    if "" in ids:
+        raise ParseError(f"bad {flag} {spec!r}; expected comma-separated "
+                         "node ids")
+    return frozenset(ids)
+
+
 def _cmd_assess(args) -> int:
     tree = load_instance(args.instance)
     results = []
-    if args.paths:
-        removal = RemovalSet(PATHS, frozenset(args.paths.split(",")))
+    if args.paths is not None:
+        removal = RemovalSet(PATHS, _id_set("--paths", args.paths))
         res = assess_paths(tree, removal)
         baseline = res.baseline
         results.append(assessment_json(removal, res))
     else:
+        removal = RemovalSet(REALIZATIONS,
+                             _id_set("--realizations", args.realizations))
         out = solve_extensive(tree)
         baseline = out.objective
-        removal = RemovalSet(REALIZATIONS,
-                             frozenset(args.realizations.split(",")))
         for nid, res in assess_realizations(tree, removal, out).items():
             results.append(assessment_json(removal, res))
     blob = {"instance": tree.name, "baseline": baseline,
@@ -281,10 +291,16 @@ def _parse_grid(spec: str) -> list[float]:
         a, b, step = (float(tok) for tok in spec.split(":"))
     except ValueError:
         raise ParseError(f"bad --gamma grid {spec!r}; expected a:b:step")
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ParseError(f"bad --gamma grid {spec!r}; a, b and step must be "
+                         "finite")
     if step <= 0 or b < a:
         raise ParseError(f"bad --gamma grid {spec!r}; need step > 0 and b >= a")
     if a < 0.0 or b > 1.0:
         raise ParseError(f"bad --gamma grid {spec!r}; must stay inside [0, 1]")
+    if (b - a) / step + 1 > MAX_GRID_POINTS:
+        raise ParseError(f"bad --gamma grid {spec!r}; more than "
+                         f"{MAX_GRID_POINTS} points")
     pts, i = [], 0
     while True:
         g = round(a + i * step, 12)
@@ -378,6 +394,17 @@ def _resolve_jobs(value) -> int:
     return os.cpu_count() or 1
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="drotree",
@@ -389,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("instance")
     sp.add_argument("--solver", choices=["extensive", "benders", "both"],
                     default="extensive")
-    sp.add_argument("--tol", type=float, default=1e-6,
+    sp.add_argument("--tol", type=_positive_float, default=1e-6,
                     help="benders stopping gap")
     sp.add_argument("--out", help="write solution JSON here (default stdout)")
     sp.add_argument("--dump-lp", help="also write the extensive LP in "

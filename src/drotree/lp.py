@@ -1,13 +1,21 @@
 """Dense two-phase primal simplex with dual extraction.
 
 Minimizes c'x subject to sparse rows with senses <=, =, >= and per-variable
-bounds (defaults: lower 0, upper +inf; both may be infinite). Deterministic:
-Dantzig pricing with lowest-index tie breaks for the first 10*(rows+cols)
-pivots, then Bland's rule, which cannot cycle.
+bounds (defaults: lower 0, upper +inf; both may be infinite).
+
+One pass, `_tableau`, writes the LP straight into the starting tableau of
+its standard form min c'y, A y (sense) b, y >= 0. Every LP, one without
+rows included, then runs the same two phases from the slack/artificial
+basis: phase 1 minimizes the artificial mass, phase 2 the original cost
+with the artificials locked out. Deterministic: Dantzig pricing with
+lowest-index tie breaks for the first 10*(rows+cols) pivots, then Bland's
+rule, which cannot cycle.
 
 Dual sign convention for a minimization: the dual of a >= row is nonnegative,
 the dual of a <= row is nonpositive, equality rows are free. Duals are the
-sensitivity of the optimal value to the row's rhs.
+sensitivity of the optimal value to the row's rhs. They, and the phase-1
+duals of an infeasible LP, solve B'y = c_B on the starting columns of the
+final basis.
 """
 
 from __future__ import annotations
@@ -84,68 +92,77 @@ class LpSolution:
     phase1_value: float | None = None
 
 
-# Column-mapping modes for the standard-form rewrite.
-_SHIFT, _NEG, _SPLIT = 0, 1, 2
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite to min c'y, A y (sense) b, y >= 0.
+def _tableau(lp: LinearProgram):
+    """The starting tableau of min c'y, A y (sense) b, y >= 0, in one pass.
 
-    Returns (c, dense rows A, b, senses, col_map, const, n_user_rows,
-    bound_rows) where col_map reconstructs original variables and finite
-    upper bounds become extra <= rows appended after the user rows.
+    Columns: a variable with a finite lower bound is lo + y, one with only
+    an upper bound is hi - y, a free one is y+ - y-; maps[j] holds its
+    constant and its (column, sign) pairs. Rows: the user rows, then
+    x_j <= hi for each lower-bounded variable with a finite upper bound.
+    Each rhs has a * constant subtracted term by term; a row whose rhs is
+    then < 0 is negated, zeros included (row_sign -1). After the
+    structural columns come a slack (<=) or surplus (>=) column per
+    inequality row, an artificial per row that is not <=, and the rhs.
+    Each row's artificial starts basic, else its slack.
+
+    Returns (tab, basis, cost, art, maps, row_sign, n_user): cost is the
+    original objective over all columns, art marks the artificials.
     """
-    cols = []       # (mode, orig j, constant, sign)
-    col_of = {}     # orig j -> (mode, data...)
-    c_parts = []
-    for j in range(lp.n_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
+    lower, upper = lp.lower.tolist(), lp.upper.tolist()
+    maps, c = [], []
+    for j, (lo, hi) in enumerate(zip(lower, upper)):
         if lo > hi:
             raise ValueError(f"variable {j} has lower > upper")
+        k = len(c)
         if math.isfinite(lo):
-            col_of[j] = (_SHIFT, len(cols), lo, math.isfinite(hi))
-            cols.append((j, 1.0, lo))
-            c_parts.append(lp.objective[j])
+            maps.append((lo, ((k, 1.0),)))
         elif math.isfinite(hi):
-            col_of[j] = (_NEG, len(cols), hi, False)
-            cols.append((j, -1.0, hi))
-            c_parts.append(-lp.objective[j])
+            maps.append((hi, ((k, -1.0),)))
         else:
-            col_of[j] = (_SPLIT, len(cols), 0.0, False)
-            cols.append((j, 1.0, 0.0))
-            cols.append((j, -1.0, 0.0))
-            c_parts.append(lp.objective[j])
-            c_parts.append(-lp.objective[j])
+            maps.append((0.0, ((k, 1.0), (k + 1, -1.0))))
+        c.extend(s * lp.objective[j] for _, s in maps[-1][1])
+    n = len(c)
 
-    n = len(cols)
-    user_rows = []
-    for row in lp.rows:
-        dense = np.zeros(n)
-        rhs = row.rhs
-        for j, a in row.coefs.items():
-            mode, k, const, _ = col_of[j]
+    rows = [(row.coefs, row.sense, row.rhs) for row in lp.rows]
+    n_user = len(rows)
+    rows += [({j: 1.0}, "<=", hi)
+             for j, (lo, hi) in enumerate(zip(lower, upper))
+             if math.isfinite(lo) and math.isfinite(hi)]
+    ents, basis, row_sign, flipped = [], [], [], []   # ents: (row, col, value)
+    slack = n
+    artificial = first_art = n + sum(sense != "=" for _, sense, _ in rows)
+    for i, (coefs, sense, rhs) in enumerate(rows):
+        for j, a in coefs.items():
+            const, pairs = maps[j]
             rhs -= a * const
-            if mode == _SHIFT:
-                dense[k] += a
-            elif mode == _NEG:
-                dense[k] -= a
-            else:
-                dense[k] += a
-                dense[k + 1] -= a
-        user_rows.append((dense, row.sense, rhs))
-
-    bound_rows = []
-    for j in range(lp.n_vars):
-        mode, k, const, has_ub = col_of[j]
-        if mode == _SHIFT and has_ub:
-            dense = np.zeros(n)
-            dense[k] = 1.0
-            bound_rows.append((dense, "<=", lp.upper[j] - lp.lower[j]))
-
-    all_rows = user_rows + bound_rows
-    const = sum(lp.objective[j] * col_of[j][2] for j in range(lp.n_vars)
-                if col_of[j][0] in (_SHIFT, _NEG))
-    return (np.array(c_parts), all_rows, col_of, const, len(user_rows))
+            for k, s in pairs:
+                ents.append((i, k, s * a + 0.0))
+        sign = 1.0
+        if rhs < 0:
+            sense, sign = _FLIPPED[sense], -1.0
+            flipped.append(i)
+        row_sign.append(sign)
+        ents.append((i, -1, sign * rhs))
+        if sense != "=":
+            ents.append((i, slack, 1.0 if sense == "<=" else -1.0))
+            slack += 1
+        if sense == "<=":
+            basis.append(slack - 1)
+        else:
+            ents.append((i, artificial, 1.0))
+            basis.append(artificial)
+            artificial += 1
+    tab = np.zeros((len(rows), artificial + 1))
+    for i, k, v in ents:
+        tab[i, k] = v
+    if flipped:
+        tab[flipped, :n] *= -1.0
+    cost = np.array(c + [0.0] * (artificial - n))
+    art = np.arange(artificial) >= first_art
+    return tab, basis, cost, art, maps, np.array(row_sign), n_user
 
 
 def _pivot(tab, obj, basis, r, j):
@@ -179,6 +196,8 @@ def _choose_leaving(tab, basis, j):
 
 
 def _run_simplex(tab, obj, basis, allowed, bland_after):
+    if not allowed.any():   # no column may enter: an LP without columns
+        return OPTIMAL
     it = 0
     bland = False
     while True:
@@ -204,128 +223,58 @@ def _run_simplex(tab, obj, basis, allowed, bland_after):
             raise NumericalBreakdown("simplex iteration limit")
 
 
-def _box_only_solution(lp, c, col_of, const):
-    # no rows at all: minimize over the nonnegative orthant of y
-    if (c < -COST_TOL).any():
-        return LpSolution(UNBOUNDED, -math.inf, None, None)
-    x = np.zeros(lp.n_vars)
-    for j in range(lp.n_vars):
-        mode, k, cst, _ = col_of[j]
-        x[j] = cst
-    return LpSolution(OPTIMAL, float(lp.objective @ x), x, np.zeros(0))
+def _priced(tab, basis, c):
+    """Row of reduced costs of c for the basis, then minus its cost."""
+    obj = np.zeros(tab.shape[1])
+    obj[:-1] = c
+    for i, bcol in enumerate(basis):
+        if c[bcol] != 0.0:
+            obj -= c[bcol] * tab[i]
+    return obj
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the LP; see module docstring for conventions."""
-    c, all_rows, col_of, const, n_user = _standardize(lp)
-    m = len(all_rows)
-    n = len(c)
-    if m == 0:
-        return _box_only_solution(lp, c, col_of, const)
-
-    # orient every row to a nonnegative rhs, then attach slack/surplus and
-    # artificial columns; slacks of <= rows start basic, the rest artificial
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    senses = []
-    row_sign = np.ones(m)
-    for i, (dense, sense, rhs) in enumerate(all_rows):
-        if rhs < 0:
-            dense = -dense
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-            row_sign[i] = -1.0
-        A[i] = dense
-        b[i] = rhs
-        senses.append(sense)
-
-    slack_of = {}
-    art_of = {}
-    extra = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            col = np.zeros(m)
-            col[i] = 1.0
-            slack_of[i] = n + len(extra)
-            extra.append(col)
-        elif s == ">=":
-            col = np.zeros(m)
-            col[i] = -1.0
-            slack_of[i] = n + len(extra)
-            extra.append(col)
-    for i, s in enumerate(senses):
-        if s != "<=":
-            col = np.zeros(m)
-            col[i] = 1.0
-            art_of[i] = n + len(extra)
-            extra.append(col)
-    full = np.hstack([A] + [e.reshape(m, 1) for e in extra]) if extra else A.copy()
-    ncols = full.shape[1]
-    art_cols = np.zeros(ncols, dtype=bool)
-    for j in art_of.values():
-        art_cols[j] = True
-
-    tab = np.hstack([full, b.reshape(m, 1)])
-    basis = [art_of.get(i, slack_of.get(i)) for i in range(m)]
-
+    tab, basis, cost, art, maps, row_sign, n_user = _tableau(lp)
+    start = tab[:, :-1].copy()
+    m, ncols = start.shape
     bland_after = 10 * (m + ncols)
 
+    def row_duals(c):
+        # B'y = c_B on the starting columns, in the user's row signs
+        y = np.linalg.solve(start[:, basis].T, c[basis])
+        return (row_sign * y)[:n_user]
+
     # phase 1: minimize the artificial mass
-    c1 = np.zeros(ncols)
-    c1[art_cols] = 1.0
-    obj = np.zeros(ncols + 1)
-    obj[:-1] = c1
-    for i, bcol in enumerate(basis):
-        if c1[bcol] != 0.0:
-            obj -= c1[bcol] * tab[i]
-    allowed = np.ones(ncols, dtype=bool)
-    status = _run_simplex(tab, obj, basis, allowed, bland_after)
+    c1 = art.astype(float)
+    obj = _priced(tab, basis, c1)
+    status = _run_simplex(tab, obj, basis, np.ones(ncols, dtype=bool),
+                          bland_after)
     phase1_val = -obj[-1]
     if status != OPTIMAL or phase1_val > FEAS_TOL:
         # phase-1 duals certify infeasibility
-        B = full[:, basis]
-        y = np.linalg.solve(B.T, c1[basis])
-        farkas = (row_sign * y)[:n_user]
         return LpSolution(INFEASIBLE, math.inf, None, None,
-                          farkas=farkas, phase1_value=float(phase1_val))
+                          farkas=row_duals(c1), phase1_value=float(phase1_val))
 
     # drive leftover artificials out of the basis where possible
     for i in range(m):
-        if art_cols[basis[i]]:
-            row = tab[i, :-1]
-            cand = np.flatnonzero((np.abs(row) > PIVOT_TOL) & ~art_cols)
+        if art[basis[i]]:
+            cand = np.flatnonzero((np.abs(tab[i, :-1]) > PIVOT_TOL) & ~art)
             if cand.size:
                 _pivot(tab, obj, basis, i, int(cand[0]))
 
     # phase 2: original costs, artificial columns locked out
-    c2 = np.zeros(ncols)
-    c2[:n] = c
-    obj = np.zeros(ncols + 1)
-    obj[:-1] = c2
-    for i, bcol in enumerate(basis):
-        if c2[bcol] != 0.0:
-            obj -= c2[bcol] * tab[i]
-    allowed = ~art_cols
-    status = _run_simplex(tab, obj, basis, allowed, bland_after)
-    if status == UNBOUNDED:
+    obj = _priced(tab, basis, cost)
+    if _run_simplex(tab, obj, basis, ~art, bland_after) == UNBOUNDED:
         return LpSolution(UNBOUNDED, -math.inf, None, None)
 
-    y_std = np.zeros(ncols)
-    y_std[basis] = tab[:, -1]
+    y = np.zeros(ncols)
+    y[basis] = tab[:, -1]
     x = np.zeros(lp.n_vars)
-    for j in range(lp.n_vars):
-        mode, k, cst, _ = col_of[j]
-        if mode == _SHIFT:
-            x[j] = cst + y_std[k]
-        elif mode == _NEG:
-            x[j] = cst - y_std[k]
-        else:
-            x[j] = y_std[k] - y_std[k + 1]
-
-    B = full[:, basis]
-    duals = np.linalg.solve(B.T, c2[basis])
-    duals = (row_sign * duals)[:n_user]
-    return LpSolution(OPTIMAL, float(lp.objective @ x), x, duals)
+    for j, (const, pairs) in enumerate(maps):
+        k, s = pairs[0]
+        x[j] = const + s * y[k] if len(pairs) == 1 else y[k] - y[k + 1]
+    return LpSolution(OPTIMAL, float(lp.objective @ x), x, row_duals(cost))
 
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 import drotree.cli as cli
 from drotree.cli import dump_json, format_float, main
+from drotree.errors import ParseError
 from drotree.solver import solve_benders, solve_extensive
 from drotree.tree import load_instance, to_dict
 
@@ -345,6 +346,47 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("nonsense")
     assert exc.value.code == 2
+
+
+def _one_error_line(err):
+    return len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("spec", ["0:1:nan", "0:nan:0.1", "nan:1:0.1",
+                                  "0:1:inf", "0:inf:0.1", "-inf:1:0.1"])
+def test_sweep_grid_must_be_finite(tmp_path, capsys, spec):
+    with pytest.raises(ParseError, match="finite"):
+        cli._parse_grid(spec)
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0]))
+    assert run("sweep", inst, f"--gamma={spec}") == 2
+    assert _one_error_line(capsys.readouterr().err)
+
+
+def test_sweep_grid_point_cap():
+    assert len(cli._parse_grid("0:1:0.0001")) == 10_001
+    assert cli.MAX_GRID_POINTS >= 10_001
+    # refused from a, b and step alone, before any point is listed
+    for spec in ("0:1:1e-5", "0:1:1e-9", "0.5:0.5000001:1e-300"):
+        with pytest.raises(ParseError, match="points"):
+            cli._parse_grid(spec)
+
+
+@pytest.mark.parametrize("flag", ["--paths", "--realizations"])
+def test_assess_empty_id_list_is_an_input_error(tmp_path, capsys, flag):
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0]))
+    assert run("assess", inst, flag, "") == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and flag in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_solve_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0]))
+    with pytest.raises(SystemExit) as exc:
+        run("solve", inst, "--solver", "benders", "--tol", tol)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "--tol" in err
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drotree import lp as lpmod
+from drotree.gen import gen_water_analog
 from drotree.lp import (LinearProgram, solve_lp, duality_report,
                         OPTIMAL, INFEASIBLE, UNBOUNDED, write_cplex_lp)
+from drotree.solver import build_extensive
 
 
 def test_trivial_binding_row():
@@ -163,10 +165,54 @@ def test_property_random_lps_verify(seed):
 
 
 def test_no_rows_box_minimum():
+    # an LP without rows runs the general path with an empty basis
+    inf = math.inf
     prob = LinearProgram(2, [1.0, 0.5], lower=np.array([1.0, 2.0]))
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL
-    assert sol.primal == pytest.approx([1.0, 2.0])
+    assert sol.primal.tolist() == [1.0, 2.0]
+    assert sol.objective_value == 2.0 and sol.duals.shape == (0,)
+
+    # upper bound only, and a free variable at zero cost
+    prob = LinearProgram(2, [-1.0, 0.0], lower=np.array([-inf, -inf]),
+                         upper=np.array([3.0, inf]))
+    sol = solve_lp(prob)
+    assert sol.status == OPTIMAL
+    assert sol.primal.tolist() == [3.0, 0.0]
+    assert sol.objective_value == -3.0 and sol.duals.shape == (0,)
+
+    # a free variable with a cost, an upper-bounded one with a positive cost
+    for cost, upper in ((1.0, inf), (-1.0, inf), (1.0, 3.0)):
+        prob = LinearProgram(1, [cost], lower=np.array([-inf]),
+                             upper=np.array([upper]))
+        sol = solve_lp(prob)
+        assert sol.status == UNBOUNDED and sol.primal is None
+
+    # no variables at all: no column can enter either phase
+    sol = solve_lp(LinearProgram(0, []))
+    assert sol.status == OPTIMAL and sol.objective_value == 0.0
+    assert sol.primal.shape == (0,) and sol.duals.shape == (0,)
+
+
+def test_water_root_lp_pinned(monkeypatch):
+    """The extensive LP of the water analog: its shape, the digits of its
+    optimum and the pivots each simplex phase takes."""
+    lp, _ = build_extensive(gen_water_analog(0, gamma=0.95))
+    assert (len(lp.rows), lp.n_vars) == (508, 382)
+    phases = []   # [objective row, pivots]: each phase prices a new row
+    pivot = lpmod._pivot
+
+    def counting(tab, obj, basis, r, j):
+        if not phases or phases[-1][0] is not obj:
+            phases.append([obj, 0])
+        phases[-1][1] += 1
+        pivot(tab, obj, basis, r, j)
+
+    monkeypatch.setattr(lpmod, "_pivot", counting)
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    assert format(sol.objective_value, ".17g") == "66.565252386000012"
+    assert [n for _, n in phases] == [354, 92]
 
 
 def test_cplex_lp_dump_roundtrip_text():
