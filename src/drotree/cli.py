@@ -25,7 +25,8 @@ from .effectiveness import (
     classify_tree,
     to_dot,
 )
-from .errors import DrotreeError, InstanceInfeasible, InstanceUnbounded, ParseError
+from .errors import (DrotreeError, InstanceInfeasible, InstanceUnbounded,
+                     NumericalBreakdown, ParseError)
 from .gen import gen_random, gen_water_analog
 from .lp import write_cplex_lp
 from .oracle import (
@@ -42,6 +43,7 @@ from .tree import load_instance, to_dict, with_uniform_gamma
 USAGE_ERROR = 2
 INSTANCE_ERROR = 3
 DISAGREEMENT_ERROR = 4
+NUMERICAL_ERROR = 5
 
 MAX_GRID_POINTS = 100_000   # largest `sweep --gamma` grid
 
@@ -478,10 +480,10 @@ def main(argv=None) -> int:
     except (InstanceInfeasible, InstanceUnbounded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INSTANCE_ERROR
-    except FileNotFoundError as exc:
+    except NumericalBreakdown as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except DrotreeError as exc:
+        return NUMERICAL_ERROR
+    except (OSError, DrotreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

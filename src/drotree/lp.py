@@ -13,9 +13,11 @@ rule, which cannot cycle.
 
 Dual sign convention for a minimization: the dual of a >= row is nonnegative,
 the dual of a <= row is nonpositive, equality rows are free. Duals are the
-sensitivity of the optimal value to the row's rhs. They, and the phase-1
-duals of an infeasible LP, solve B'y = c_B on the starting columns of the
-final basis.
+sensitivity of the optimal value to the row's rhs. Each row starts with a
+unit column (its slack or its artificial), so the final objective row of a
+phase holds that phase's row duals: y_i = c_k - d_k for row i's unit column
+k, cost c_k and reduced cost d_k. Phase 2 gives the duals, phase 1 the
+Farkas vector of an infeasible LP.
 """
 
 from __future__ import annotations
@@ -84,10 +86,11 @@ class LpSolution:
     objective_value: float
     primal: np.ndarray | None
     duals: np.ndarray | None
-    # Set only when status == INFEASIBLE: phase-1 duals on the user rows
-    # (subgradient of the infeasibility measure w.r.t. the rhs vector) and
-    # the phase-1 optimum itself. Together they give Benders feasibility
-    # cuts without exposing internal bound rows.
+    # Set only when status == INFEASIBLE: phase-1 duals on the user rows,
+    # read off phase 1's final objective row as the duals are off phase
+    # 2's (a subgradient of the infeasibility measure w.r.t. the rhs
+    # vector), and the phase-1 optimum itself. Together they give Benders
+    # feasibility cuts without exposing internal bound rows.
     farkas: np.ndarray | None = None
     phase1_value: float | None = None
 
@@ -236,14 +239,13 @@ def _priced(tab, basis, c):
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the LP; see module docstring for conventions."""
     tab, basis, cost, art, maps, row_sign, n_user = _tableau(lp)
-    start = tab[:, :-1].copy()
-    m, ncols = start.shape
+    m, ncols = tab.shape[0], tab.shape[1] - 1
     bland_after = 10 * (m + ncols)
+    unit = list(basis)   # each row's starting unit column
 
-    def row_duals(c):
-        # B'y = c_B on the starting columns, in the user's row signs
-        y = np.linalg.solve(start[:, basis].T, c[basis])
-        return (row_sign * y)[:n_user]
+    def row_duals(c, obj):
+        # y_i = c_k - d_k at row i's unit column k, in the user's row signs
+        return (row_sign * (c[unit] - obj[unit]))[:n_user]
 
     # phase 1: minimize the artificial mass
     c1 = art.astype(float)
@@ -254,7 +256,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if status != OPTIMAL or phase1_val > FEAS_TOL:
         # phase-1 duals certify infeasibility
         return LpSolution(INFEASIBLE, math.inf, None, None,
-                          farkas=row_duals(c1), phase1_value=float(phase1_val))
+                          farkas=row_duals(c1, obj),
+                          phase1_value=float(phase1_val))
 
     # drive leftover artificials out of the basis where possible
     for i in range(m):
@@ -274,59 +277,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     for j, (const, pairs) in enumerate(maps):
         k, s = pairs[0]
         x[j] = const + s * y[k] if len(pairs) == 1 else y[k] - y[k + 1]
-    return LpSolution(OPTIMAL, float(lp.objective @ x), x, row_duals(cost))
-
-
-def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
-    """Signed constraint violations, one entry per row (0 when satisfied)."""
-    out = np.zeros(len(lp.rows))
-    for i, row in enumerate(lp.rows):
-        lhs = sum(a * x[j] for j, a in row.coefs.items())
-        if row.sense == "<=":
-            out[i] = max(0.0, lhs - row.rhs)
-        elif row.sense == ">=":
-            out[i] = max(0.0, row.rhs - lhs)
-        else:
-            out[i] = abs(lhs - row.rhs)
-    return out
-
-
-def duality_report(lp: LinearProgram, sol: LpSolution) -> dict:
-    """Feasibility, complementary slackness and gap diagnostics at a solution.
-
-    The gap is computed against the Lagrangian bound b'y + sum of bound
-    contributions from the reduced costs, which equals c'x at an exact
-    vertex optimum.
-    """
-    x, y = sol.primal, sol.duals
-    feas = float(residuals(lp, x).max()) if lp.rows else 0.0
-    lo_ok = float(np.max(np.maximum(0.0, lp.lower - x), initial=0.0))
-    hi_ok = float(np.max(np.maximum(0.0, x - lp.upper), initial=0.0))
-    # reduced costs of the original variables
-    red = lp.objective.astype(float).copy()
-    for i, row in enumerate(lp.rows):
-        for j, a in row.coefs.items():
-            red[j] -= y[i] * a
-    comp = 0.0
-    bound_term = 0.0
-    for j in range(lp.n_vars):
-        if math.isfinite(lp.lower[j]) and red[j] > 0:
-            comp = max(comp, red[j] * abs(x[j] - lp.lower[j]))
-            bound_term += red[j] * lp.lower[j]
-        elif math.isfinite(lp.upper[j]) and red[j] < 0:
-            comp = max(comp, -red[j] * abs(lp.upper[j] - x[j]))
-            bound_term += red[j] * lp.upper[j]
-    slack_comp = 0.0
-    for i, row in enumerate(lp.rows):
-        lhs = sum(a * x[j] for j, a in row.coefs.items())
-        slack_comp = max(slack_comp, abs(y[i] * (lhs - row.rhs)))
-    dual_obj = float(np.dot(y, [r.rhs for r in lp.rows]) + bound_term)
-    gap = abs(sol.objective_value - dual_obj)
-    return {
-        "feasibility": max(feas, lo_ok, hi_ok),
-        "complementarity": max(comp, slack_comp),
-        "gap": gap,
-    }
+    return LpSolution(OPTIMAL, float(lp.objective @ x), x,
+                      row_duals(cost, obj))
 
 
 def write_cplex_lp(lp: LinearProgram, names: list[str] | None = None) -> str:

@@ -195,12 +195,11 @@ def _risk_of_children(tree, nid, child_values, removals):
     return float(res.value), tuple(float(p) for p in res.dist)
 
 
-def _evaluate(tree: ScenarioTree, policy, removals=None,
-              check_feasibility=True, root=None, fixed_incoming=None):
+def _evaluate(tree: ScenarioTree, policy, removals=None, root=None):
     """Bottom-up node values at a fixed policy on the (sub)tree hanging at
-    `root`, whose parent decision is `fixed_incoming`; also the worst-case
-    child distributions realized along the way. Node LPs come from the
-    tree's cache (ScenarioTree.node_lp)."""
+    `root`, and the worst-case child distributions realized along the way.
+    It does not check the policy's feasibility; _check_policy does. Node
+    LPs come from the tree's cache (ScenarioTree.node_lp)."""
     removals = {k: frozenset(v) for k, v in (removals or {}).items() if v}
     root_id = tree.root() if root is None else root
     q_values: dict[str, float] = {}
@@ -208,12 +207,7 @@ def _evaluate(tree: ScenarioTree, policy, removals=None,
     for level in reversed(_levels(tree, root_id)):
         for nid in level:
             nlp = tree.node_lp(nid)
-            x = np.asarray(policy[nid], dtype=float)
-            if check_feasibility:
-                incoming = (fixed_incoming if nid == root_id
-                            else policy[tree.parent(nid)])
-                _check_node_feasible(nid, nlp, x, incoming)
-            value = float(nlp.cost @ x)
+            value = float(nlp.cost @ np.asarray(policy[nid], dtype=float))
             if tree.children(nid):
                 future, pstar = _risk_of_children(tree, nid, q_values,
                                                   removals)
@@ -229,6 +223,20 @@ def _levels(tree: ScenarioTree, root_id: str) -> list[list[str]]:
     sub = set(tree.subtree_ids(root_id))
     return [[nid for nid in tree.stage_nodes(t) if nid in sub]
             for t in range(tree.node(root_id).stage, tree.T + 1)]
+
+
+def _check_policy(tree: ScenarioTree, policy, root_id: str,
+                  fixed_incoming=None):
+    """Raise InfeasiblePolicy naming the first node, in _evaluate's
+    bottom-up order, whose decision violates its bounds or rows on the
+    subtree at root_id; the root's parent decision is fixed_incoming."""
+    for level in reversed(_levels(tree, root_id)):
+        for nid in level:
+            incoming = (fixed_incoming if nid == root_id
+                        else policy[tree.parent(nid)])
+            _check_node_feasible(nid, tree.node_lp(nid),
+                                 np.asarray(policy[nid], dtype=float),
+                                 incoming)
 
 
 def _check_node_feasible(nid, nlp, x, incoming):
@@ -258,8 +266,9 @@ def _check_node_feasible(nid, nlp, x, incoming):
 
 def evaluate_policy(tree: ScenarioTree, policy) -> dict[str, float]:
     """Per-node values of a fixed feasible policy (upper bounds on the
-    optimal cost-to-go). Raises InfeasiblePolicy naming the first node
-    whose rows or bounds are violated beyond tolerance."""
+    optimal cost-to-go). Raises InfeasiblePolicy naming the first node,
+    bottom-up, whose rows or bounds are violated beyond tolerance."""
+    _check_policy(tree, policy, tree.root())
     q_values, _ = _evaluate(tree, policy)
     return q_values
 
@@ -295,6 +304,7 @@ def solve_extensive(tree: ScenarioTree, removals=None) -> SolveOutcome:
                 tree, removals, root=c, fixed_incoming=policy[tree.parent(c)])
             sub_sol = _solve_or_raise(sub_lp, f"subtree at {c!r}")
             policy[c] = np.array([sub_sol.primal[j] for j in sub_vm.x[c]])
+    _check_policy(tree, policy, root_id)
     q_values, worst = _evaluate(tree, policy, removals)
     return SolveOutcome(float(sol.objective_value), policy, q_values, worst,
                         "extensive")
@@ -380,6 +390,9 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     child solves yield feasibility cuts on the parent. Stops when
     (upper - lower) <= tol * max(1, |lower|) or after max_iter passes;
     the outcome records the achieved gap and lower bound either way.
+    Each completed pass is evaluated once: the outcome keeps the policy,
+    values and worst-case distributions of the pass with the best upper
+    bound, and that policy's feasibility is checked once, at the end.
 
     `removals`, `root` and `fixed_incoming` mean what they mean for
     build_extensive. Cut weights and upper bounds use the one closed form
@@ -402,7 +415,7 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
             for nid in ids}
 
     best_value = math.inf
-    best_policy = None
+    best = None   # (policy, q_values, worst) of the pass with best_value
     lower = -math.inf
     gap = math.inf
     passes = 0
@@ -433,12 +446,11 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
             continue  # repeat the pass with the strengthened parent
 
         lower = float(fwd[root_id].objective_value)
-        q_values, _ = _evaluate(tree, xvals, removals, check_feasibility=False,
-                                root=root_id)
+        q_values, worst = _evaluate(tree, xvals, removals, root=root_id)
         value = q_values[root_id]
         if value < best_value:
             best_value = value
-            best_policy = {nid: x.copy() for nid, x in xvals.items()}
+            best = (xvals, q_values, worst)
         gap = (best_value - lower) / max(1.0, abs(lower))
         if gap <= tol:
             break
@@ -471,9 +483,9 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
                     alpha += p * (v - float(grad @ incoming))
                 work[nid].opt_cuts.append((beta, alpha))
 
-    if best_policy is None:
+    if best is None:
         raise InstanceInfeasible("no feasible pass completed")
-    q_values, worst = _evaluate(tree, best_policy, removals, root=root_id,
-                                fixed_incoming=fixed_incoming)
-    return SolveOutcome(best_value, best_policy, q_values, worst, "benders",
+    policy, q_values, worst = best
+    _check_policy(tree, policy, root_id, fixed_incoming)
+    return SolveOutcome(best_value, policy, q_values, worst, "benders",
                         gap=float(gap), passes=passes, lower=lower)

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import MissingXiField, ParseError, ValidationError
 
+# what reading a JSON value of the wrong shape or size raises: a missing key,
+# a list where an object belongs, an int of 1e400, a string for a number
+MALFORMED = (KeyError, TypeError, ValueError, OverflowError, AttributeError)
+
 
 @dataclass(frozen=True)
 class Coef:
@@ -111,7 +115,7 @@ def parse_template(obj, where: str) -> StageTemplate:
                 (Coef.parse(lo) if lo is not None else Coef.const(-math.inf),
                  Coef.parse(hi) if hi is not None else None)
                 for lo, hi in vb)
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ParseError(f"{where}: malformed template ({exc})") from exc
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc

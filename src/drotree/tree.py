@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import (MixedStages, ParseError, StageOutOfRange, UnknownNode,
                      ValidationError)
-from .stage import StageTemplate, materialize, parse_template, template_to_json
+from .stage import (MALFORMED, StageTemplate, materialize, parse_template,
+                    template_to_json)
 
 Q_SUM_TOL = 1e-12
 
@@ -155,18 +156,6 @@ class ScenarioTree:
             raise StageOutOfRange(f"stage {t} outside [1, {self.T}]")
         return [n.id for n in self.nodes if n.stage == t]
 
-    def project(self, node_id: str, t: int) -> str:
-        """Ancestor of node_id at stage t (the node itself at its stage)."""
-        nd = self.node(node_id)
-        if not 1 <= t <= nd.stage:
-            raise StageOutOfRange(
-                f"cannot project node {node_id!r} (stage {nd.stage}) "
-                f"to stage {t}")
-        cur = nd
-        while cur.stage > t:
-            cur = self._index[cur.parent]
-        return cur.id
-
     def path(self, node_id: str) -> list[str]:
         """Node ids from the root down to node_id inclusive."""
         nd = self.node(node_id)
@@ -201,12 +190,6 @@ class ScenarioTree:
     def q_children(self, node_id: str) -> list[float]:
         return [self.node(c).q_cond for c in self.children(node_id)]
 
-    def path_probability(self, leaf_id: str) -> float:
-        p = 1.0
-        for nid in self.path(leaf_id)[1:]:
-            p *= self.node(nid).q_cond
-        return p
-
     def node_lp(self, node_id: str):
         """The node's stage LP at its xi, built on the first call and
         cached on the tree; its cost and bound arrays are read-only."""
@@ -235,15 +218,22 @@ def with_uniform_gamma(tree: ScenarioTree, g: float) -> ScenarioTree:
                         tree.stage_templates, dict(tree.meta))
 
 
-def from_dict(obj) -> ScenarioTree:
+def _field(obj: dict, key: str, convert):
+    """convert(obj[key]); a value that is missing or of the wrong shape or
+    size is a ParseError naming the key."""
     try:
-        name = str(obj.get("name", "unnamed"))
-        T = int(obj["stages"])
-        gamma = tuple(float(g) for g in obj["gamma"])
-        raw_nodes = obj["nodes"]
-        raw_templates = obj["stage_templates"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"instance missing or malformed field: {exc}") from exc
+        return convert(obj[key])
+    except MALFORMED as exc:
+        raise ParseError(
+            f"instance field {key!r} missing or malformed: {exc}") from exc
+
+
+def from_dict(obj: dict) -> ScenarioTree:
+    name = str(obj.get("name", "unnamed"))
+    T = _field(obj, "stages", int)
+    gamma = _field(obj, "gamma", lambda gs: tuple(float(g) for g in gs))
+    raw_nodes = _field(obj, "nodes", list)
+    raw_templates = _field(obj, "stage_templates", list)
     nodes = []
     for nd in raw_nodes:
         try:
@@ -254,7 +244,7 @@ def from_dict(obj) -> ScenarioTree:
                 q_cond=float(nd.get("q", 1.0)),
                 xi={str(k): float(v) for k, v in nd.get("xi", {}).items()},
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise ParseError(f"malformed node entry {nd!r}: {exc}") from exc
     templates = tuple(parse_template(t, f"stage template {i + 1}")
                       for i, t in enumerate(raw_templates))
@@ -281,10 +271,12 @@ def to_dict(tree: ScenarioTree) -> dict:
 
 def load_instance(path) -> ScenarioTree:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -114,10 +114,6 @@ def cvar(dist: FiniteDist, alpha: float) -> float:
     return float(np.min(h + gains / (1.0 - alpha)))
 
 
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
 def _ascending(dist: FiniteDist) -> np.ndarray:
     # ascending by value, first-listed first among ties
     return np.argsort(dist.values, kind="stable")

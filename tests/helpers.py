@@ -1,13 +1,93 @@
-"""Hand-built instances and oracle checks shared by several test
-modules."""
+"""Hand-built instances, LP and tree checks, and oracle checks shared by
+several test modules."""
+
+import math
 
 import numpy as np
 
 from drotree.effectiveness import EFFECTIVE, INEFFECTIVE
-from drotree.errors import InvalidRemoval
+from drotree.errors import InvalidRemoval, StageOutOfRange
+from drotree.lp import LinearProgram, LpSolution
 from drotree.oracle import PATHS, RemovalSet, assess_paths
 from drotree.solver import SolveOutcome, _evaluate, solve_extensive
 from drotree.tree import ScenarioTree, TreeNode, from_dict
+
+
+def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    """Signed constraint violations, one entry per row (0 when satisfied)."""
+    out = np.zeros(len(lp.rows))
+    for i, row in enumerate(lp.rows):
+        lhs = sum(a * x[j] for j, a in row.coefs.items())
+        if row.sense == "<=":
+            out[i] = max(0.0, lhs - row.rhs)
+        elif row.sense == ">=":
+            out[i] = max(0.0, row.rhs - lhs)
+        else:
+            out[i] = abs(lhs - row.rhs)
+    return out
+
+
+def duality_report(lp: LinearProgram, sol: LpSolution) -> dict:
+    """Feasibility, complementary slackness and gap diagnostics at a
+    solution: the check of the duals that solve_lp reads off its final
+    tableau.
+
+    The gap is computed against the Lagrangian bound b'y + sum of bound
+    contributions from the reduced costs, which equals c'x at an exact
+    vertex optimum.
+    """
+    x, y = sol.primal, sol.duals
+    feas = float(residuals(lp, x).max()) if lp.rows else 0.0
+    lo_ok = float(np.max(np.maximum(0.0, lp.lower - x), initial=0.0))
+    hi_ok = float(np.max(np.maximum(0.0, x - lp.upper), initial=0.0))
+    # reduced costs of the original variables
+    red = lp.objective.astype(float).copy()
+    for i, row in enumerate(lp.rows):
+        for j, a in row.coefs.items():
+            red[j] -= y[i] * a
+    comp = 0.0
+    bound_term = 0.0
+    for j in range(lp.n_vars):
+        if math.isfinite(lp.lower[j]) and red[j] > 0:
+            comp = max(comp, red[j] * abs(x[j] - lp.lower[j]))
+            bound_term += red[j] * lp.lower[j]
+        elif math.isfinite(lp.upper[j]) and red[j] < 0:
+            comp = max(comp, -red[j] * abs(lp.upper[j] - x[j]))
+            bound_term += red[j] * lp.upper[j]
+    slack_comp = 0.0
+    for i, row in enumerate(lp.rows):
+        lhs = sum(a * x[j] for j, a in row.coefs.items())
+        slack_comp = max(slack_comp, abs(y[i] * (lhs - row.rhs)))
+    dual_obj = float(np.dot(y, [r.rhs for r in lp.rows]) + bound_term)
+    gap = abs(sol.objective_value - dual_obj)
+    return {
+        "feasibility": max(feas, lo_ok, hi_ok),
+        "complementarity": max(comp, slack_comp),
+        "gap": gap,
+    }
+
+
+def project(tree: ScenarioTree, node_id: str, t: int) -> str:
+    """Ancestor of node_id at stage t (the node itself at its stage)."""
+    nd = tree.node(node_id)
+    if not 1 <= t <= nd.stage:
+        raise StageOutOfRange(
+            f"cannot project node {node_id!r} (stage {nd.stage}) "
+            f"to stage {t}")
+    while nd.stage > t:
+        nd = tree.node(nd.parent)
+    return nd.id
+
+
+def path_probability(tree: ScenarioTree, leaf_id: str) -> float:
+    p = 1.0
+    for nid in tree.path(leaf_id)[1:]:
+        p *= tree.node(nid).q_cond
+    return p
+
+
+def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
+    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 def leaf_value_tree(values, q=None, gamma=0.5, root_cost=0.0, name="toy"):
@@ -112,8 +192,7 @@ def policy_value_under_removal(tree: ScenarioTree, policy,
                                removals) -> float:
     """Value of a fixed policy with the removed children pinned to zero,
     for sandwich checks: restricted optimum <= this <= baseline."""
-    q_values, _ = _evaluate(tree, policy, removals=removals,
-                            check_feasibility=False)
+    q_values, _ = _evaluate(tree, policy, removals=removals)
     return q_values[tree.root()]
 
 

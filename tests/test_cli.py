@@ -5,7 +5,7 @@ import pytest
 
 import drotree.cli as cli
 from drotree.cli import dump_json, format_float, main
-from drotree.errors import ParseError
+from drotree.errors import NumericalBreakdown, ParseError
 from drotree.solver import solve_benders, solve_extensive
 from drotree.tree import load_instance, to_dict
 
@@ -415,3 +415,67 @@ def test_gen_water_gamma_flag(tmp_path):
     tree = load_instance(inst)
     assert tree.gamma == (0.95, 0.95)
     assert len(tree.nodes) == 73
+
+
+def _edited_instance(edit):
+    blob = to_dict(leaf_value_tree([1.0, 2.0]))
+    edit(blob)
+    # "BIG" stands for the JSON number 1e400, which loads as float inf
+    return json.dumps(blob).replace('"BIG"', "1e400").encode()
+
+
+MALFORMED_FILES = {
+    "stages-1e400": (lambda b: b.update(stages="BIG"), "'stages'"),
+    "node-stage-1e400": (lambda b: b["nodes"][1].update(stage="BIG"),
+                         "node entry"),
+    "n_vars-1e400": (lambda b: b["stage_templates"][0].update(n_vars="BIG"),
+                     "stage template 1"),
+    "nodes-number": (lambda b: b.update(nodes=5), "'nodes'"),
+    "templates-number": (lambda b: b.update(stage_templates=5),
+                         "'stage_templates'"),
+    "xi-list": (lambda b: b["nodes"][1].update(xi=[1.0]), "node entry"),
+    "row-list": (lambda b: b["stage_templates"][1].update(rows=[[1.0]]),
+                 "stage template 2"),
+    "self-list": (lambda b: b["stage_templates"][1]["rows"][0].update(
+        self=[1.0]), "stage template 2"),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_FILES, "latin-1"])
+def test_malformed_instance_file_is_an_input_error(tmp_path, capsys, case):
+    if case == "latin-1":
+        text = json.dumps(to_dict(leaf_value_tree([1.0, 2.0], name="café")),
+                          ensure_ascii=False).encode("latin-1")
+        section = "UTF-8"
+    else:
+        edit, section = MALFORMED_FILES[case]
+        text = _edited_instance(edit)
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert run("solve", str(path)) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and section in err
+    assert "Traceback" not in err
+
+
+def test_output_path_that_is_a_directory(tmp_path, capsys):
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0]))
+    for argv in (["solve", inst, "--out", str(tmp_path)],
+                 ["solve", inst, "--dump-lp", str(tmp_path)],
+                 ["classify", inst, "--dot", str(tmp_path)],
+                 ["gen", "--random", "7,3,2", "--out", str(tmp_path)]):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "Is a directory" in err
+
+
+def test_numerical_breakdown_exit_code(tmp_path, capsys, monkeypatch):
+    def breaks_down(tree):
+        raise NumericalBreakdown("pivot magnitude 1.000e-12")
+
+    monkeypatch.setattr(cli, "solve_extensive", breaks_down)
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0]))
+    assert cli.NUMERICAL_ERROR == 5
+    assert run("solve", inst) == 5
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "pivot magnitude" in err

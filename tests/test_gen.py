@@ -7,6 +7,8 @@ from drotree.errors import ParamOutOfRange
 from drotree.gen import COMBOS, SplitMix64, gen_random, gen_water_analog
 from drotree.tree import to_dict
 
+from helpers import path_probability
+
 
 def test_splitmix64_reference_vector():
     # first five outputs for seed 0, from the reference implementation
@@ -65,7 +67,7 @@ def test_gen_random_output_is_a_valid_tree(seed, T, branching, n_vars):
                       gamma=0.3)
     assert tree.T == T
     assert len(tree.leaves()) == branching ** (T - 1)
-    total = sum(tree.path_probability(leaf) for leaf in tree.leaves())
+    total = sum(path_probability(tree, leaf) for leaf in tree.leaves())
     assert abs(total - 1.0) <= 1e-9
     # probabilities bounded away from zero by the weight floor
     for node in tree.nodes:

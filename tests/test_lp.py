@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from drotree import lp as lpmod
 from drotree.gen import gen_water_analog
-from drotree.lp import (LinearProgram, solve_lp, duality_report,
+from drotree.lp import (LinearProgram, solve_lp,
                         OPTIMAL, INFEASIBLE, UNBOUNDED, write_cplex_lp)
 from drotree.solver import build_extensive
+
+from helpers import duality_report
 
 
 def test_trivial_binding_row():
@@ -127,6 +129,40 @@ def test_random_strong_duality():
         assert rep["feasibility"] <= 1e-7
         assert rep["complementarity"] <= 1e-7 * scale
         assert rep["gap"] <= 1e-7 * scale
+
+
+def test_farkas_certifies_infeasibility():
+    # default bounds (x >= 0), every sense, rhs of both signs: the phase-1
+    # duals read off the final tableau are a Farkas certificate
+    rng = np.random.default_rng(2024)
+    found = {"<=": 0, "=": 0, ">=": 0}
+    n_infeasible = 0
+    while n_infeasible < 150:
+        m, n = rng.integers(2, 9), rng.integers(1, 7)
+        A = rng.uniform(-5, 5, size=(m, n))
+        b = rng.uniform(-5, 5, size=m)
+        senses = [lpmod._SENSES[k] for k in rng.integers(0, 3, size=m)]
+        prob = LinearProgram(int(n), rng.uniform(-1, 1, size=n))
+        for i in range(m):
+            prob.add_row({j: float(A[i, j]) for j in range(n)}, senses[i],
+                         float(b[i]))
+        sol = solve_lp(prob)
+        if sol.status != INFEASIBLE:
+            continue
+        n_infeasible += 1
+        y = sol.farkas
+        scale = max(1.0, float(np.abs(A).max()), float(np.abs(b).max()))
+        assert sol.phase1_value > lpmod.FEAS_TOL
+        assert y.shape == (m,)
+        assert abs(y @ b - sol.phase1_value) <= 1e-9 * scale
+        assert np.all(A.T @ y <= 1e-9 * scale)
+        for yi, sense in zip(y, senses):
+            found[sense] += 1
+            if sense == "<=":
+                assert yi <= 1e-9 * scale
+            elif sense == ">=":
+                assert yi >= -1e-9 * scale
+    assert min(found.values()) > 0
 
 
 def test_dual_of_primal_negated_match():

@@ -147,8 +147,7 @@ def test_sandwich_and_locality_at_fixed_policy():
     # with the policy held fixed, nodes off the removed path keep their
     # recorded values exactly
     from drotree.solver import _evaluate
-    qv, _ = _evaluate(tree, out.policy, removals=grouped,
-                      check_feasibility=False)
+    qv, _ = _evaluate(tree, out.policy, removals=grouped)
     touched = set(tree.path(leaf))
     for nid, val in out.q_values.items():
         if nid not in touched:

@@ -18,9 +18,10 @@ from drotree.solver import (
     solve_extensive,
 )
 from drotree.tree import from_dict, with_uniform_gamma
-from drotree.tvrisk import tv_distance
 
-from helpers import chain_tree, leaf_value_tree, minimal_dict, newsvendor_tree
+from helpers import (chain_tree, duality_report, leaf_value_tree,
+                     minimal_dict, newsvendor_tree, path_probability,
+                     tv_distance)
 
 
 def risk_neutral_lp_value(tree):
@@ -38,7 +39,7 @@ def risk_neutral_lp_value(tree):
     upper = np.zeros(total)
     for nid in ids:
         nlp = nlps[nid]
-        prob = tree.path_probability(nid) if tree.node(nid).stage == tree.T \
+        prob = path_probability(tree, nid) if tree.node(nid).stage == tree.T \
             else _node_prob(tree, nid)
         o = offset[nid]
         obj[o:o + nlp.n_vars] = prob * nlp.cost
@@ -153,6 +154,48 @@ def test_each_node_lp_is_built_once_per_tree(monkeypatch):
     solve_extensive(tree)
     solve_benders(tree)
     assert len(built) == 73
+
+
+@pytest.mark.parametrize("tree", [gen_water_analog(0, gamma=0.95),
+                                  gen_random(5, T=4, branching=2)],
+                         ids=["water", "random-5-4-2"])
+def test_benders_node_lp_duals_verify(tree, monkeypatch):
+    # every optimal node LP's tableau duals close the duality gap
+    import drotree.solver as solver_module
+
+    solved = []
+
+    def recording(lp):
+        sol = solve_lp(lp)
+        if sol.status == OPTIMAL:
+            solved.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(solver_module, "solve_lp", recording)
+    solve_benders(tree)
+    assert len(solved) > len(tree.nodes)
+    for lp, sol in solved:
+        rep = duality_report(lp, sol)
+        scale = max(1.0, abs(sol.objective_value))
+        assert rep["feasibility"] <= 1e-9 * scale
+        assert rep["complementarity"] <= 1e-9 * scale
+        assert rep["gap"] <= 1e-9 * scale
+
+
+def test_benders_evaluates_each_pass_once(monkeypatch):
+    import drotree.solver as solver_module
+
+    calls = []
+    real = solver_module._evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_evaluate", counting)
+    out = solve_benders(gen_water_analog(0, gamma=0.95))
+    assert out.passes > 1
+    assert len(calls) == out.passes
 
 
 def test_recursion_consistency_and_subtree_probes():

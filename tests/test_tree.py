@@ -13,7 +13,8 @@ from drotree.errors import (
 )
 from drotree.tree import ScenarioTree, from_dict, to_dict, with_uniform_gamma
 
-from helpers import chain_tree, leaf_value_tree, minimal_dict
+from helpers import (chain_tree, leaf_value_tree, minimal_dict,
+                     path_probability, project)
 
 
 def test_round_trip():
@@ -91,8 +92,8 @@ def test_parse_error_on_malformed():
 
 def test_queries_and_errors():
     tree = chain_tree(depth=4)
-    assert tree.project("n4", 2) == "n2"
-    assert tree.project("n4", 4) == "n4"
+    assert project(tree, "n4", 2) == "n2"
+    assert project(tree, "n4", 4) == "n4"
     assert tree.path("n3") == ["n1", "n2", "n3"]
     assert tree.ancestor_set(["n4"]) == ["n3"]
     assert tree.ancestor_set([]) == []
@@ -101,9 +102,9 @@ def test_queries_and_errors():
     with pytest.raises(StageOutOfRange):
         tree.stage_nodes(5)
     with pytest.raises(StageOutOfRange):
-        tree.project("n4", 0)
+        project(tree, "n4", 0)
     with pytest.raises(StageOutOfRange):
-        tree.project("n2", 3)
+        project(tree, "n2", 3)
     with pytest.raises(MixedStages):
         tree.ancestor_set(["n4", "n3"])
 
@@ -165,7 +166,7 @@ def _random_tree(rng: np.random.Generator) -> ScenarioTree:
 @given(st.integers(0, 10**9))
 def test_path_probabilities_sum_to_one(seed):
     tree = _random_tree(np.random.default_rng(seed))
-    total = sum(tree.path_probability(leaf) for leaf in tree.leaves())
+    total = sum(path_probability(tree, leaf) for leaf in tree.leaves())
     assert abs(total - 1.0) <= 1e-9
 
 
@@ -176,9 +177,9 @@ def test_project_is_consistent_with_parent(seed):
     for leaf in tree.leaves():
         stage = tree.node(leaf).stage
         for t in range(2, stage + 1):
-            anc = tree.project(leaf, t)
-            assert tree.parent(anc) == tree.project(leaf, t - 1)
-        assert tree.project(leaf, 1) == tree.root()
+            anc = project(tree, leaf, t)
+            assert tree.parent(anc) == project(tree, leaf, t - 1)
+        assert project(tree, leaf, 1) == tree.root()
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from drotree.lp import LinearProgram, solve_lp, OPTIMAL
-from drotree.tvrisk import (FiniteDist, psi, var_level, cvar, tv_distance,
+from drotree.tvrisk import (FiniteDist, psi, var_level, cvar,
                             worst_case_expectation,
                             worst_case_expectation_restricted, categorize)
+
+from helpers import tv_distance
 
 THIRDS = FiniteDist(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]) / 3.0)
 
