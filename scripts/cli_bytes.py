@@ -1,0 +1,85 @@
+"""Fingerprint the command line's output bytes on a fixed command set.
+
+Runs 293 commands in-process through drotree.cli.main, on the water
+analog (seed 0, gamma 0.95) and on the random instances 7,3,2 / 3,3,3 /
+5,4,2 / 11,3,4 / 21,2,4. Per instance: `gen`; `solve` with each solver
+and with --dump-lp; `classify` under both --c2-rule values, once with
+--dot and once with --oracle --jobs 1; `sweep --gamma 0:1:0.25 --jobs 1`;
+`assess` for every leaf (--paths) and every non-root node
+(--realizations).
+
+Each command prints one line: the exit code, the sha256 of stdout and of
+stderr, name=sha256 of every file it wrote, then the command itself.
+Two checkouts print the same lines exactly when their command-line
+output is byte-identical, so one diff of
+
+    PYTHONPATH=src python3 scripts/cli_bytes.py > bytes.txt
+
+from each checks it. It takes one to two minutes.
+"""
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from drotree.cli import main as cli_main
+from drotree.tree import load_instance
+
+INSTANCES = [("water", ["--water", "0", "--gamma", "0.95"])] + [
+    ("random_" + spec.replace(",", "_"), ["--random", spec])
+    for spec in ("7,3,2", "3,3,3", "5,4,2", "11,3,4", "21,2,4")]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(argv, written=()) -> str:
+    """Run one command; hash its stdout, stderr and `written` files."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    files = []
+    for name in written:
+        with open(name, "rb") as fh:
+            files.append(f"{name}={_sha(fh.read())}")
+    return " ".join([str(code), _sha(out.getvalue().encode()),
+                     _sha(err.getvalue().encode()), *files, *argv])
+
+
+def instance_commands(inst: str):
+    """(argv, written files) of every command reading `inst`."""
+    for solver in ("extensive", "benders", "both"):
+        yield ["solve", inst, "--solver", solver], ()
+    yield ["solve", inst, "--dump-lp", "x.lp"], ("x.lp",)
+    for rule in ("c1_plus_c2", "c2_only"):
+        yield ["classify", inst, "--c2-rule", rule, "--dot", "x.dot"], \
+            ("x.dot",)
+        yield ["classify", inst, "--c2-rule", rule, "--oracle",
+               "--jobs", "1"], ()
+    yield ["sweep", inst, "--gamma", "0:1:0.25", "--jobs", "1"], ()
+    tree = load_instance(inst)
+    for leaf in tree.leaves():
+        yield ["assess", inst, "--paths", leaf], ()
+    for node in tree.nodes:
+        if node.parent is not None:
+            yield ["assess", inst, "--realizations", node.id], ()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, gen_args in INSTANCES:
+            inst = name + ".json"
+            print(fingerprint(["gen", *gen_args, "--out", inst], (inst,)),
+                  flush=True)
+            for argv, written in instance_commands(inst):
+                print(fingerprint(argv, written), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,9 +9,9 @@ of the table is the identified fraction and the speedup.
 import argparse
 import time
 
-from drotree.cli import _oracle_check_items, _run_oracle_checks
 from drotree.effectiveness import classify_paths, classify_tree
 from drotree.gen import gen_random
+from drotree.oracle import check_labels, identified_labels
 from drotree.solver import solve_extensive
 
 
@@ -28,8 +28,8 @@ def run_batch(gamma, n_instances, branching, seed0):
         t_classify += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        items = _oracle_check_items(tree, cond, paths)
-        records = _run_oracle_checks(tree, out, items)
+        items = identified_labels(cond, paths)
+        records = check_labels(tree, out, items)
         t_oracle += time.perf_counter() - t0
         total += len(cond) + len(paths)
         identified += len(items)
@@ -37,13 +37,13 @@ def run_batch(gamma, n_instances, branching, seed0):
     return identified, total, disagreements, t_classify, t_oracle
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=20)
     ap.add_argument("--branching", type=int, default=3)
     ap.add_argument("--seed0", type=int, default=9000)
     ap.add_argument("--gammas", default="0.1,0.3,0.5,0.7,0.9")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'gamma':>6} {'identified':>11} {'fraction':>9} "
           f"{'disagree':>9} {'classify_s':>11} {'oracle_s':>9} {'speedup':>8}")

@@ -10,13 +10,14 @@ import csv
 import os
 import time
 
-from drotree.effectiveness import EFFECTIVE, classify_paths, classify_tree, to_dot
+from drotree.effectiveness import (EFFECTIVE, INEFFECTIVE, UNIDENTIFIED,
+                                   classify_tree, sweep_point, to_dot)
 from drotree.gen import gen_water_analog
 from drotree.solver import solve_extensive
 from drotree.tree import with_uniform_gamma
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--points", type=int, default=21,
@@ -24,21 +25,19 @@ def main():
     ap.add_argument("--symmetric", action="store_true",
                     help="disable the stage-3 probability asymmetry")
     ap.add_argument("--out-dir", default="water_out")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     os.makedirs(args.out_dir, exist_ok=True)
     base = gen_water_analog(args.seed, asymmetric=not args.symmetric)
     rows = []
     t0 = time.perf_counter()
     for k in range(args.points):
-        g = k / (args.points - 1)
-        tree = with_uniform_gamma(base, g)
-        out = solve_extensive(tree)
-        labels = classify_paths(tree, out)
-        eff = [p.leaf for p in labels if p.label == EFFECTIVE]
-        rows.append((g, out.objective, len(eff),
-                     sum(p.label == "Ineffective" for p in labels),
-                     sum(p.label == "Unidentified" for p in labels),
+        g = k / max(1, args.points - 1)
+        out, paths = sweep_point(base, g)
+        labels = [p.label for p in paths]
+        eff = [p.leaf for p in paths if p.label == EFFECTIVE]
+        rows.append((g, out.objective, len(eff), labels.count(INEFFECTIVE),
+                     labels.count(UNIDENTIFIED),
                      ";".join(eff) if len(eff) <= 3 else ""))
         print(f"gamma={g:5.3f}  objective={out.objective:12.6f}  "
               f"effective paths={len(eff):3d}")

@@ -23,6 +23,7 @@ from .effectiveness import (
     classification_report,
     classify_paths,
     classify_tree,
+    sweep_point,
     to_dot,
 )
 from .errors import (DrotreeError, InstanceInfeasible, InstanceUnbounded,
@@ -36,9 +37,11 @@ from .oracle import (
     assess_paths,
     assess_realizations,
     assessment_json,
+    check_labels,
+    identified_labels,
 )
 from .solver import build_extensive, solve_benders, solve_extensive
-from .tree import load_instance, to_dict, with_uniform_gamma
+from .tree import load_instance, to_dict
 
 USAGE_ERROR = 2
 INSTANCE_ERROR = 3
@@ -53,8 +56,7 @@ MAX_GRID_POINTS = 100_000   # largest `sweep --gamma` grid
 def format_float(x: float) -> str:
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError("non-finite float reached the writer; map to null first")
-    s = format(float(x), ".17g")
-    return s
+    return format(float(x), ".17g")
 
 
 def dump_json(obj, indent: int = 0) -> str:
@@ -156,47 +158,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- classify
-
-def _oracle_check_items(tree, cond, paths):
-    items = []
-    for nid, cl in cond.items():
-        if cl.label != UNIDENTIFIED:
-            items.append(("cond", nid, cl.label))
-    for pl in paths:
-        if pl.label != UNIDENTIFIED:
-            items.append(("path", pl.leaf, pl.label))
-    return items
-
-
-def _run_oracle_checks(tree, out, items):
-    """Compare identified labels with re-solve verdicts; returns one
-    record per checked item."""
-    records = []
-    for kind, nid, label in items:
-        if kind == "cond":
-            got = assess_realizations(
-                tree, RemovalSet(REALIZATIONS, frozenset({nid})), out)
-            res = got[tree.parent(nid)]
-        else:
-            res = assess_paths(tree, RemovalSet(PATHS, frozenset({nid})), out)
-        records.append({
-            "kind": kind,
-            "id": nid,
-            "label": label,
-            "verdict": res.verdict,
-            "agree": res.verdict == label,
-            "value": None if res.infeasible else res.value,
-            "baseline": res.baseline,
-            "infeasible": res.infeasible,
-        })
-    return records
-
-
-def _oracle_worker(payload):
-    path, out, items = payload
-    return _run_oracle_checks(load_instance(path), out, items)
-
+# ---------------------------------------------------------------- workers
 
 def _chunks(seq, n):
     """Deal seq out to at most n workers in strides, so a run of costly
@@ -211,30 +173,44 @@ def _merge(parts):
     return [parts[i % n][i // n] for i in range(sum(map(len, parts)))]
 
 
+def _on_instance(payload):
+    fn, path, args = payload
+    return fn(load_instance(path), *args)
+
+
+def _map_items(fn, tree, path, args, items, jobs):
+    """fn(tree, *args, items), which returns one entry per item. With
+    more than one worker (at most jobs, the item count and the cpu
+    count), the items are dealt out to worker processes that each load
+    the instance from path and get args (such as the parent's solve)."""
+    n = min(jobs, len(items), os.cpu_count() or 1)
+    if n <= 1:
+        return fn(tree, *args, items)
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        return _merge(pool.map(_on_instance,
+                               [(fn, path, (*args, chunk))
+                                for chunk in _chunks(items, n)]))
+
+
+# ---------------------------------------------------------------- classify
+
 def _cmd_classify(args) -> int:
     tree = load_instance(args.instance)
     out = solve_extensive(tree)
     settings = ClassifierSettings(c2_mass_rule=args.c2_rule)
-    rep = classification_report(tree, out, settings)
+    cond = classify_tree(tree, out, settings)
+    paths = classify_paths(tree, out, settings, cond)
+    rep = classification_report(tree, out, settings, cond, paths)
 
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(tree, classify_tree(tree, out, settings)))
+            fh.write(to_dot(tree, cond))
 
     disagreements = 0
     if args.oracle:
-        cond = classify_tree(tree, out, settings)
-        paths = classify_paths(tree, out, settings, cond)
-        items = _oracle_check_items(tree, cond, paths)
-        jobs = _resolve_jobs(args.jobs)
-        if jobs > 1 and len(items) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                records = _merge(pool.map(
-                    _oracle_worker,
-                    [(args.instance, out, chunk)
-                     for chunk in _chunks(items, jobs)]))
-        else:
-            records = _run_oracle_checks(tree, out, items)
+        records = _map_items(check_labels, tree, args.instance, (out,),
+                             identified_labels(cond, paths),
+                             _resolve_jobs(args.jobs))
         disagreements = sum(1 for r in records if not r["agree"])
         rep["oracle"] = {
             "n_checked": len(records),
@@ -278,8 +254,8 @@ def _cmd_assess(args) -> int:
                              _id_set("--realizations", args.realizations))
         out = solve_extensive(tree)
         baseline = out.objective
-        for nid, res in assess_realizations(tree, removal, out).items():
-            results.append(assessment_json(removal, res))
+        results = [assessment_json(removal, res) for res in
+                   assess_realizations(tree, removal, out).values()]
     blob = {"instance": tree.name, "baseline": baseline,
             "results": results}
     _emit(dump_json(blob) + "\n", args.out)
@@ -313,70 +289,45 @@ def _parse_grid(spec: str) -> list[float]:
     return pts
 
 
-def _sweep_point(tree, gamma):
-    t = with_uniform_gamma(tree, gamma)
-    out = solve_extensive(t)
-    labels = [p.label for p in classify_paths(t, out)]
-    return {
-        "gamma": gamma,
-        "objective": out.objective,
-        "n_effective_paths": labels.count(EFFECTIVE),
-        "n_ineffective": labels.count(INEFFECTIVE),
-        "n_unidentified": labels.count(UNIDENTIFIED),
-    }
-
-
-def _sweep_worker(payload):
-    path, gammas = payload
-    tree = load_instance(path)
-    return [_sweep_point(tree, g) for g in gammas]
+def _sweep_rows(tree, gammas) -> list[str]:
+    """One CSV row per grid point: gamma, objective and the path-label
+    tally."""
+    rows = []
+    for g in gammas:
+        out, paths = sweep_point(tree, g)
+        labels = [p.label for p in paths]
+        rows.append(",".join([format_float(g), format_float(out.objective)]
+                             + [str(labels.count(lab)) for lab in
+                                (EFFECTIVE, INEFFECTIVE, UNIDENTIFIED)]))
+    return rows
 
 
 def _cmd_sweep(args) -> int:
     tree = load_instance(args.instance)
     grid = _parse_grid(args.gamma)
-    jobs = _resolve_jobs(args.jobs)
-    if jobs > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = _merge(pool.map(_sweep_worker,
-                                   [(args.instance, chunk)
-                                    for chunk in _chunks(grid, jobs)]))
-    else:
-        rows = [_sweep_point(tree, g) for g in grid]
-    lines = ["gamma,objective,n_effective_paths,n_ineffective,n_unidentified"]
-    for r in rows:
-        lines.append(",".join([
-            format_float(r["gamma"]),
-            format_float(r["objective"]),
-            str(r["n_effective_paths"]),
-            str(r["n_ineffective"]),
-            str(r["n_unidentified"]),
-        ]))
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = _map_items(_sweep_rows, tree, args.instance, (), grid,
+                      _resolve_jobs(args.jobs))
+    header = "gamma,objective,n_effective_paths,n_ineffective,n_unidentified"
+    _emit("\n".join([header, *rows]) + "\n", args.out)
     return 0
 
 
 # ---------------------------------------------------------------- gen
 
 def _cmd_gen(args) -> int:
+    kwargs = {} if args.gamma is None else {"gamma": args.gamma}
     if args.random:
         try:
             seed, t, branch = (int(tok) for tok in args.random.split(","))
         except ValueError:
             raise ParseError(
                 f"bad --random spec {args.random!r}; expected seed,T,branch")
-        kwargs = {}
-        if args.gamma is not None:
-            kwargs["gamma"] = args.gamma
         tree = gen_random(seed=seed, T=t, branching=branch, **kwargs)
     else:
         try:
             seed = int(args.water)
         except ValueError:
             raise ParseError(f"bad --water seed {args.water!r}")
-        kwargs = {}
-        if args.gamma is not None:
-            kwargs["gamma"] = args.gamma
         tree = gen_water_analog(seed=seed, **kwargs)
     _emit(dump_json(to_dict(tree)) + "\n", args.out)
     return 0
@@ -385,15 +336,21 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 def _resolve_jobs(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("DROTREE_JOBS", "").strip()
-    if env:
+    """Worker processes: --jobs, else DROTREE_JOBS, else the cpu count.
+    A count below 1 is an input error."""
+    what = f"--jobs {value}"
+    if value is None:
+        env = os.environ.get("DROTREE_JOBS", "").strip()
+        if not env:
+            return os.cpu_count() or 1
+        what = f"DROTREE_JOBS value {env!r}"
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
-            raise ParseError(f"bad DROTREE_JOBS value {env!r}")
-    return os.cpu_count() or 1
+            value = 0
+    if value < 1:
+        raise ParseError(f"bad {what}; expected an integer >= 1")
+    return value
 
 
 def _positive_float(text: str) -> float:

@@ -5,7 +5,8 @@ Ineffective, Unidentified) by looking at where its value sits among its
 siblings: below the gamma-quantile, at it, between quantile and sup, or
 at the sup. Scenario paths are then labeled by combining the conditional
 labels along the path. Everything here is a cheap function of the solved
-values; the expensive ground truth lives in oracle.py.
+values, apart from sweep_point, which solves the tree it labels; the
+expensive ground truth lives in oracle.py.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotSolved
-from .tree import ScenarioTree
+from .solver import SolveOutcome, solve_extensive
+from .tree import ScenarioTree, with_uniform_gamma
 from .tvrisk import (REMOVAL_FEAS_TOL, FiniteDist, categorize,
                      worst_case_expectation,
                      worst_case_expectation_restricted)
@@ -213,12 +215,18 @@ def classification_report(
     tree: ScenarioTree,
     outcome,
     settings: ClassifierSettings | None = None,
+    cond: dict[str, CondLabel] | None = None,
+    paths: list[PathLabel] | None = None,
 ) -> dict:
     """JSON-ready report: solve header, per-node conditional labels,
-    per-leaf path labels, and the label tallies."""
+    per-leaf path labels, and the label tallies. `cond` and `paths`, when
+    given, are the labels classify_tree and classify_paths return under
+    the same settings."""
     settings = settings or ClassifierSettings()
-    cond = classify_tree(tree, outcome, settings)
-    paths = classify_paths(tree, outcome, settings, cond)
+    if cond is None:
+        cond = classify_tree(tree, outcome, settings)
+    if paths is None:
+        paths = classify_paths(tree, outcome, settings, cond)
 
     nodes = []
     for nd in tree.nodes:
@@ -252,6 +260,15 @@ def classification_report(
             "unidentified_node_fraction": (n_unid_nodes / n_nodes) if n_nodes else 0.0,
         },
     }
+
+
+def sweep_point(tree: ScenarioTree,
+                gamma: float) -> tuple[SolveOutcome, list[PathLabel]]:
+    """One point of a gamma sweep: the tree with every stage radius set
+    to gamma, solved by the extensive LP, and its path labels."""
+    tree = with_uniform_gamma(tree, gamma)
+    outcome = solve_extensive(tree)
+    return outcome, classify_paths(tree, outcome)
 
 
 def to_dot(tree: ScenarioTree, cond: dict[str, CondLabel]) -> str:

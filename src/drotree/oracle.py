@@ -16,6 +16,10 @@ a threshold, or Benders stops above BENDERS_TOL or fails, the restricted
 extensive root LP decides instead, so Benders never marks an assessment
 infeasible on its own. Only the root LP is solved, never the policy
 extraction of solve_extensive, whose policy an assessment does not need.
+
+It also holds the label check that `drotree classify --oracle` runs:
+identified_labels lists the classifier's identified labels, and
+check_labels assesses each one against its verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .effectiveness import EFFECTIVE, INEFFECTIVE, eff_tolerance
+from .effectiveness import EFFECTIVE, INEFFECTIVE, UNIDENTIFIED, eff_tolerance
 from .errors import InstanceInfeasible, InvalidRemoval, NotSolved, NumericalBreakdown
 from .solver import (
     SolveOutcome,
@@ -128,9 +132,8 @@ def _restricted_value(tree, removals, baseline, node, incoming) -> float:
 
 def _group_by_parent(tree: ScenarioTree, ids) -> dict[str, frozenset]:
     parents = tree.ancestor_set(ids)
-    grouped = {p: frozenset(i for i in ids if tree.parent(i) == p)
-               for p in parents}
-    return grouped
+    return {p: frozenset(i for i in ids if tree.parent(i) == p)
+            for p in parents}
 
 
 def _validate_paths(tree: ScenarioTree, removal: RemovalSet):
@@ -198,3 +201,39 @@ def assessment_json(removal: RemovalSet, result: AssessmentResult) -> dict:
         "infeasible": result.infeasible,
         "borderline": result.borderline,
     }
+
+
+def identified_labels(cond, paths) -> list[tuple[str, str, str]]:
+    """(kind, id, label) of every label the classifier identified: the
+    conditional labels ("cond", by node) in their order, then the path
+    labels ("path", by leaf)."""
+    items = [("cond", nid, cl.label) for nid, cl in cond.items()
+             if cl.label != UNIDENTIFIED]
+    items += [("path", p.leaf, p.label) for p in paths
+              if p.label != UNIDENTIFIED]
+    return items
+
+
+def check_labels(tree: ScenarioTree, outcome: SolveOutcome,
+                 items) -> list[dict]:
+    """Assess each identified label of `items` against `outcome`, the
+    baseline solve; one JSON-ready record per item, in order."""
+    records = []
+    for kind, nid, label in items:
+        if kind == "cond":
+            removal = RemovalSet(REALIZATIONS, frozenset({nid}))
+            res = assess_realizations(tree, removal, outcome)[tree.parent(nid)]
+        else:
+            res = assess_paths(tree, RemovalSet(PATHS, frozenset({nid})),
+                               outcome)
+        records.append({
+            "kind": kind,
+            "id": nid,
+            "label": label,
+            "verdict": res.verdict,
+            "agree": res.verdict == label,
+            "value": None if res.infeasible else res.value,
+            "baseline": res.baseline,
+            "infeasible": res.infeasible,
+        })
+    return records

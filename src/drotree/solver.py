@@ -281,7 +281,7 @@ def _solve_or_raise(lp: LinearProgram, what: str):
     return sol
 
 
-def solve_extensive(tree: ScenarioTree, removals=None) -> SolveOutcome:
+def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
     """Solve the nested problem via the extensive epigraph LP.
 
     The root LP fixes the objective, but rows below children that receive
@@ -291,8 +291,7 @@ def solve_extensive(tree: ScenarioTree, removals=None) -> SolveOutcome:
     fixed, which forces the recursion to hold at every node. q_values are
     then recomputed bottom-up at that policy rather than read off theta.
     """
-    removals = check_removals(tree, removals)
-    lp, vm = build_extensive(tree, removals)
+    lp, vm = build_extensive(tree)
     sol = _solve_or_raise(lp, "instance")
     root_id = tree.root()
     policy: dict[str, np.ndarray] = {
@@ -301,11 +300,11 @@ def solve_extensive(tree: ScenarioTree, removals=None) -> SolveOutcome:
     for level in _levels(tree, root_id)[1:]:
         for c in level:
             sub_lp, sub_vm = build_extensive(
-                tree, removals, root=c, fixed_incoming=policy[tree.parent(c)])
+                tree, root=c, fixed_incoming=policy[tree.parent(c)])
             sub_sol = _solve_or_raise(sub_lp, f"subtree at {c!r}")
             policy[c] = np.array([sub_sol.primal[j] for j in sub_vm.x[c]])
     _check_policy(tree, policy, root_id)
-    q_values, worst = _evaluate(tree, policy, removals)
+    q_values, worst = _evaluate(tree, policy)
     return SolveOutcome(float(sol.objective_value), policy, q_values, worst,
                         "extensive")
 

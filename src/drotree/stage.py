@@ -20,6 +20,15 @@ from .errors import MissingXiField, ParseError, ValidationError
 MALFORMED = (KeyError, TypeError, ValueError, OverflowError, AttributeError)
 
 
+def as_int(value) -> int:
+    """int(value) for an integer field, refusing a fractional number such
+    as 2.5, which int() would truncate."""
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
 @dataclass(frozen=True)
 class Coef:
     """Constant, or scale * xi[field] + offset when field is set."""
@@ -97,7 +106,7 @@ def default_bounds(n: int) -> tuple:
 
 def parse_template(obj, where: str) -> StageTemplate:
     try:
-        n = int(obj["n_vars"])
+        n = as_int(obj["n_vars"])
         cost = tuple(Coef.parse(c) for c in obj["cost"])
         rows = []
         for r in obj.get("rows", []):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import (MixedStages, ParseError, StageOutOfRange, UnknownNode,
                      ValidationError)
-from .stage import (MALFORMED, StageTemplate, materialize, parse_template,
-                    template_to_json)
+from .stage import (MALFORMED, StageTemplate, as_int, materialize,
+                    parse_template, template_to_json)
 
 Q_SUM_TOL = 1e-12
 
@@ -230,7 +230,7 @@ def _field(obj: dict, key: str, convert):
 
 def from_dict(obj: dict) -> ScenarioTree:
     name = str(obj.get("name", "unnamed"))
-    T = _field(obj, "stages", int)
+    T = _field(obj, "stages", as_int)
     gamma = _field(obj, "gamma", lambda gs: tuple(float(g) for g in gs))
     raw_nodes = _field(obj, "nodes", list)
     raw_templates = _field(obj, "stage_templates", list)
@@ -239,7 +239,7 @@ def from_dict(obj: dict) -> ScenarioTree:
         try:
             nodes.append(TreeNode(
                 id=str(nd["id"]),
-                stage=int(nd["stage"]),
+                stage=as_int(nd["stage"]),
                 parent=None if nd.get("parent") is None else str(nd["parent"]),
                 q_cond=float(nd.get("q", 1.0)),
                 xi={str(k): float(v) for k, v in nd.get("xi", {}).items()},

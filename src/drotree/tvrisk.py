@@ -58,7 +58,6 @@ class FiniteDist:
 class WorstCaseResult:
     value: float
     dist: np.ndarray       # a maximizing distribution
-    tight: bool            # whether that maximizer is unique
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,6 @@ def cvar(dist: FiniteDist, alpha: float) -> float:
     return float(np.min(h + gains / (1.0 - alpha)))
 
 
-def _ascending(dist: FiniteDist) -> np.ndarray:
-    # ascending by value, first-listed first among ties
-    return np.argsort(dist.values, kind="stable")
-
-
 def worst_case_expectation(dist: FiniteDist, gamma: float,
                            removed=()) -> WorstCaseResult:
     """Closed-form worst case of E_p[h] over the TV ball of radius gamma,
@@ -153,8 +147,7 @@ def worst_case_expectation(dist: FiniteDist, gamma: float,
         tail = FiniteDist(h[kept], q[kept] / kept_mass) if gone else dist
         value = (gamma * sup + (1.0 - gamma)
                  * cvar(tail, (gamma - m) / (1.0 - m)))
-    tol = _eq_tol(sup)
-    maxmask = kept & (h >= sup - tol)
+    maxmask = kept & (h >= sup - _eq_tol(sup))
     skip = maxmask | ~kept
 
     # at radius 0 nothing moves, even where 1 - mass(argmax) rounds below 0
@@ -163,9 +156,8 @@ def worst_case_expectation(dist: FiniteDist, gamma: float,
     first_max = int(np.flatnonzero(maxmask)[0])
     p[first_max] += delta
     need = delta - m
-    order = _ascending(dist)
-    marginal = -1
-    for idx in order:
+    # drain ascending by value, first-listed first among ties
+    for idx in np.argsort(h, kind="stable"):
         if need <= 1e-15:
             break
         if skip[idx]:
@@ -173,21 +165,7 @@ def worst_case_expectation(dist: FiniteDist, gamma: float,
         take = min(q[idx], need)
         p[idx] -= take
         need -= take
-        if take < q[idx] - 1e-15:
-            marginal = int(idx)
-    p = np.maximum(p, 0.0)
-
-    n_max = int(maxmask.sum())
-    tight = True
-    if n_max > 1 and gamma > 0.0:
-        tight = False
-    elif marginal >= 0:
-        # partially drained child: any same-valued kept sibling with mass
-        # left could have been drained instead
-        group = (np.abs(h - h[marginal]) <= tol) & ~skip & (q > 0)
-        if int(group.sum()) > 1:
-            tight = False
-    return WorstCaseResult(float(value), p, tight)
+    return WorstCaseResult(float(value), np.maximum(p, 0.0))
 
 
 def worst_case_expectation_restricted(

@@ -11,6 +11,7 @@ from drotree.lp import LinearProgram, LpSolution
 from drotree.oracle import PATHS, RemovalSet, assess_paths
 from drotree.solver import SolveOutcome, _evaluate, solve_extensive
 from drotree.tree import ScenarioTree, TreeNode, from_dict
+from drotree.tvrisk import FiniteDist, _eq_tol, worst_case_expectation
 
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
@@ -88,6 +89,27 @@ def path_probability(tree: ScenarioTree, leaf_id: str) -> float:
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def worst_case_is_unique(dist: FiniteDist, gamma: float, removed=()) -> bool:
+    """Whether the maximizer worst_case_expectation returns is the only
+    one. It is not when gamma > 0 and kept children tie at the sup (the
+    added mass could go to any of them), nor when a partially drained
+    child has a same-valued kept sibling with mass left, which could
+    have been drained instead."""
+    h, q = dist.values, dist.probs
+    p = worst_case_expectation(dist, gamma, removed).dist
+    kept = np.ones(dist.n, dtype=bool)
+    kept[list(removed)] = False
+    sup = float(h[kept].max())
+    tol = _eq_tol(sup)
+    drainable = kept & (h < sup - tol)
+    if gamma > 0.0 and int((kept & ~drainable).sum()) > 1:
+        return False
+    for i in np.flatnonzero(drainable & (p > 1e-15) & (q - p > 1e-15)):
+        if int((drainable & (np.abs(h - h[i]) <= tol) & (q > 0)).sum()) > 1:
+            return False
+    return True
 
 
 def leaf_value_tree(values, q=None, gamma=0.5, root_cost=0.0, name="toy"):

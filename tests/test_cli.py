@@ -1,11 +1,15 @@
 import functools
 import json
+import os
+import pickle
 
 import pytest
 
 import drotree.cli as cli
+import drotree.effectiveness as effectiveness
 from drotree.cli import dump_json, format_float, main
 from drotree.errors import NumericalBreakdown, ParseError
+from drotree.oracle import check_labels
 from drotree.solver import solve_benders, solve_extensive
 from drotree.tree import load_instance, to_dict
 
@@ -134,13 +138,106 @@ def test_classify_oracle_jobs_match_serial(tmp_path, monkeypatch):
     tree = load_instance(knife)
     out = solve_extensive(tree)
     items = [("cond", "l1", "Ineffective"), ("path", "l1", "Ineffective")]
-    want = cli._run_oracle_checks(tree, out, items)
+    want = check_labels(tree, out, items)
 
     def no_resolve(*args, **kwargs):
         raise AssertionError("worker re-solved the baseline")
 
     monkeypatch.setattr(cli, "solve_extensive", no_resolve)
-    assert cli._oracle_worker((knife, out, items)) == want
+    assert cli._on_instance((check_labels, knife, (out, items))) == want
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, each payload through pickle as a worker would get it."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return [fn(pickle.loads(pickle.dumps(p))) for p in payloads]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    return _InProcessPool.sizes
+
+
+def _counting(calls, fn, *args, **kwargs):
+    calls.append(args)
+    return fn(*args, **kwargs)
+
+
+def test_pool_is_capped_by_items_and_cpus(tmp_path, monkeypatch, pool_sizes):
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0, 3.0]))
+    serial = str(tmp_path / "serial.csv")
+    assert run("sweep", inst, "--gamma", "0:1:0.25", "--jobs", "1",
+               "--out", serial) == 0
+    assert pool_sizes == []
+    calls = []
+    monkeypatch.setattr(cli, "solve_extensive",
+                        functools.partial(_counting, calls, solve_extensive))
+    rep = str(tmp_path / "rep.json")
+    assert run("classify", inst, "--oracle", "--jobs", "1",
+               "--out", rep) == 0
+    want = open(rep, "rb").read()
+    n_checked = json.loads(want)["oracle"]["n_checked"]
+    assert n_checked > 1 and pool_sizes == []
+
+    out = str(tmp_path / "out")
+    for cpus in (64, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        calls.clear()
+        assert run("classify", inst, "--oracle", "--jobs", "100000",
+                   "--out", out) == 0
+        assert open(out, "rb").read() == want
+        # one pool, one worker per check at most, and the workers use the
+        # parent's solve
+        assert pool_sizes.pop() == min(cpus, n_checked) and pool_sizes == []
+        assert len(calls) == 1
+        monkeypatch.setenv("DROTREE_JOBS", "100000")
+        assert run("sweep", inst, "--gamma", "0:1:0.25", "--out", out) == 0
+        assert open(out, "rb").read() == open(serial, "rb").read()
+        assert pool_sizes.pop() == min(cpus, 5)
+        monkeypatch.delenv("DROTREE_JOBS")
+
+
+@pytest.mark.parametrize("flag,env", [("0", None), ("-3", None),
+                                      (None, "0"), (None, "-3")])
+def test_jobs_below_one_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                          pool_sizes, flag, env):
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0, 3.0]))
+    jobs = ["--jobs", flag] if flag else []
+    if env:
+        monkeypatch.setenv("DROTREE_JOBS", env)
+    for argv in (["classify", inst, "--oracle", *jobs],
+                 ["sweep", inst, "--gamma", "0:1:0.5", *jobs]):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "expected an integer >= 1" in err
+        assert (flag or env) in err
+    assert pool_sizes == []
+
+
+def test_classify_labels_the_tree_once(tmp_path, monkeypatch):
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0, 3.0]))
+    calls = []
+    for module in (cli, effectiveness):
+        monkeypatch.setattr(module, "classify_tree", functools.partial(
+            _counting, calls, effectiveness.classify_tree))
+    assert run("classify", inst, "--oracle", "--jobs", "1", "--dot",
+               str(tmp_path / "t.dot"), "--out", str(tmp_path / "r.json")) == 0
+    assert len(calls) == 1
 
 
 def test_strict_oracle_flags_unsound_rule_variant(tmp_path):
@@ -426,6 +523,11 @@ def _edited_instance(edit):
 
 MALFORMED_FILES = {
     "stages-1e400": (lambda b: b.update(stages="BIG"), "'stages'"),
+    "stages-2.5": (lambda b: b.update(stages=2.5), "'stages'"),
+    "node-stage-2.9": (lambda b: b["nodes"][1].update(stage=2.9),
+                       "node entry"),
+    "n_vars-1.7": (lambda b: b["stage_templates"][0].update(n_vars=1.7),
+                   "stage template 1"),
     "node-stage-1e400": (lambda b: b["nodes"][1].update(stage="BIG"),
                          "node entry"),
     "n_vars-1e400": (lambda b: b["stage_templates"][0].update(n_vars="BIG"),

@@ -13,6 +13,7 @@ from drotree.effectiveness import (
     classify_node_children,
     classify_paths,
     classify_tree,
+    sweep_point,
     to_dot,
 )
 from drotree.errors import NotSolved, StageOutOfRange
@@ -262,3 +263,25 @@ def test_errors():
         classify_node_children(tree, fake_outcome({}), "r")
     with pytest.raises(ValueError):
         ClassifierSettings(c2_mass_rule="nonsense")
+
+
+def test_sweep_point_regammas_solves_and_labels():
+    base = leaf_value_tree([1.0, 2.0, 3.0], gamma=0.5)
+    out, paths = sweep_point(base, 0.2)
+    tree = with_uniform_gamma(base, 0.2)
+    want = solve_extensive(tree)
+    assert out.objective == want.objective
+    assert out.q_values == want.q_values
+    assert paths == classify_paths(tree, want)
+    assert base.gamma == (0.5,)
+
+
+def test_report_from_given_labels_matches_its_own():
+    tree = gen_water_analog(0, 0.95)
+    out = solve_extensive(tree)
+    for rule in ("c1_plus_c2", "c2_only"):
+        settings = ClassifierSettings(rule)
+        cond = classify_tree(tree, out, settings)
+        paths = classify_paths(tree, out, settings, cond)
+        assert classification_report(tree, out, settings, cond, paths) == \
+            classification_report(tree, out, settings)

@@ -10,6 +10,7 @@ from drotree.effectiveness import (
     EFFECTIVE,
     INEFFECTIVE,
     UNIDENTIFIED,
+    ClassifierSettings,
     classify_node_children,
     classify_paths,
     classify_tree,
@@ -32,6 +33,8 @@ from drotree.oracle import (
     assess_paths,
     assess_realizations,
     assessment_json,
+    check_labels,
+    identified_labels,
 )
 from drotree.solver import (SolveOutcome, build_extensive, solve_benders,
                             solve_extensive)
@@ -137,11 +140,11 @@ def test_sandwich_and_locality_at_fixed_policy():
     leaf = tree.leaves()[0]
     grouped = {tree.parent(leaf): {leaf}}
 
-    restricted = solve_extensive(tree, removals=grouped)
+    restricted = solve_lp(build_extensive(tree, removals=grouped)[0])
     frozen = policy_value_under_removal(tree, out.policy, grouped)
     eps = 1e-7 * max(1.0, abs(out.objective))
     # restricted optimum <= original policy under restriction <= baseline
-    assert restricted.objective <= frozen + eps
+    assert restricted.objective_value <= frozen + eps
     assert frozen <= out.objective + eps
 
     # with the policy held fixed, nodes off the removed path keep their
@@ -329,3 +332,29 @@ def test_root_lp_decides_when_benders_cannot(monkeypatch, undecided):
     for res in (r, cond):
         assert res.value == pytest.approx(16 / 6, abs=1e-12)
         assert res.verdict == EFFECTIVE and not res.infeasible
+
+
+def test_check_labels_records_each_identified_label():
+    # the knife edge of the c2_only rule: it calls l1 ineffective, yet
+    # removing l1 drops the value 2.8 -> 2.6
+    tree = leaf_value_tree([1.0, 2.0, 3.0], q=[0.2, 0.5, 0.3])
+    out = solve_extensive(tree)
+    rule = ClassifierSettings("c2_only")
+    cond = classify_tree(tree, out, rule)
+    items = identified_labels(cond, classify_paths(tree, out, rule, cond))
+    labels = [INEFFECTIVE, INEFFECTIVE, EFFECTIVE]
+    assert items == [("cond", f"l{k}", lab) for k, lab in enumerate(labels)] \
+        + [("path", f"l{k}", lab) for k, lab in enumerate(labels)]
+    records = check_labels(tree, out, items)
+    assert all(list(r) == ["kind", "id", "label", "verdict", "agree",
+                           "value", "baseline", "infeasible"]
+               for r in records)
+    assert [(r["kind"], r["id"], r["label"]) for r in records] == items
+    assert [r["agree"] for r in records] == [True, False, True] * 2
+    assert [r["value"] for r in records] == pytest.approx([2.8, 2.6, 2.0] * 2)
+
+    # children tied at the sup stay Unidentified, so nothing is checked
+    tied = leaf_value_tree([2.0, 2.0, 2.0])
+    out = solve_extensive(tied)
+    cond = classify_tree(tied, out)
+    assert identified_labels(cond, classify_paths(tied, out, cond=cond)) == []

@@ -7,7 +7,7 @@ from drotree.tvrisk import (FiniteDist, psi, var_level, cvar,
                             worst_case_expectation,
                             worst_case_expectation_restricted, categorize)
 
-from helpers import tv_distance
+from helpers import tv_distance, worst_case_is_unique
 
 THIRDS = FiniteDist(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]) / 3.0)
 
@@ -82,7 +82,7 @@ def test_worst_case_gamma_zero_is_mean():
     res = worst_case_expectation(THIRDS, 0.0)
     assert res.value == pytest.approx(2.0)
     assert res.dist == pytest.approx(THIRDS.probs)
-    assert res.tight
+    assert worst_case_is_unique(THIRDS, 0.0)
 
 
 def test_worst_case_gamma_one_all_mass_on_first_max():
@@ -94,7 +94,7 @@ def test_worst_case_gamma_one_all_mass_on_first_max():
     assert res2.value == pytest.approx(3.0)
     # the added mass lands on the first max child; ties make it non-unique
     assert res2.dist == pytest.approx([0.0, 0.75, 0.25])
-    assert not res2.tight
+    assert not worst_case_is_unique(dup, 1.0)
 
 
 def test_worked_restricted_middle_child():
