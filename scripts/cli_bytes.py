@@ -15,7 +15,7 @@ output is byte-identical, so one diff of
 
     PYTHONPATH=src python3 scripts/cli_bytes.py > bytes.txt
 
-from each checks it. It takes one to two minutes.
+from each checks it. It takes about 20 seconds on a 2-vCPU host.
 """
 import contextlib
 import hashlib

@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex with dual extraction.
+"""Two-phase primal simplex on a dense tableau, with dual extraction.
 
 Minimizes c'x subject to sparse rows with senses <=, =, >= and per-variable
 bounds (defaults: lower 0, upper +inf; both may be infinite).
@@ -10,6 +10,15 @@ basis: phase 1 minimizes the artificial mass, phase 2 the original cost
 with the artificials locked out. Deterministic: Dantzig pricing with
 lowest-index tie breaks for the first 10*(rows+cols) pivots, then Bland's
 rule, which cannot cycle.
+
+The tableau is a dense array. On a tableau of at least SPARSE_MIN_CELLS
+cells, a pivot updates only the rows with a nonzero in the pivot column
+and the columns with a nonzero in the pivot row, whenever those cells are
+under a quarter of the tableau; every other pivot updates the whole array.
+A skipped cell would only have had 0 * x subtracted from it, so both
+updates give the same numbers; at most the sign of a zero could differ.
+The gate keeps the many small LPs of the Benders and oracle paths on the
+dense update, which is faster for them.
 
 Dual sign convention for a minimization: the dual of a >= row is nonnegative,
 the dual of a <= row is nonpositive, equality rows are free. Duals are the
@@ -37,6 +46,7 @@ PIVOT_TOL = 1e-9        # eligibility threshold for ratio-test denominators
 BREAKDOWN_TOL = 1e-11   # chosen pivot below this aborts the solve
 FEAS_TOL = 1e-7         # phase-1 optimum above this means infeasible
 COST_TOL = 1e-9         # reduced-cost threshold for optimality
+SPARSE_MIN_CELLS = 20_000   # smallest tableau whose pivots skip zero cells
 
 _SENSES = ("<=", "=", ">=")
 
@@ -175,7 +185,14 @@ def _pivot(tab, obj, basis, r, j):
     pivrow = tab[r] / piv
     colvals = tab[:, j].copy()
     colvals[r] = 0.0
-    tab -= np.outer(colvals, pivrow)
+    if tab.size >= SPARSE_MIN_CELLS:
+        rows, cols = np.flatnonzero(colvals), np.flatnonzero(pivrow)
+        if rows.size * cols.size < 0.25 * tab.size:
+            tab[np.ix_(rows, cols)] -= np.outer(colvals[rows], pivrow[cols])
+        else:
+            tab -= np.outer(colvals, pivrow)
+    else:
+        tab -= np.outer(colvals, pivrow)
     tab[r] = pivrow
     tab[:, j] = 0.0
     tab[r, j] = 1.0

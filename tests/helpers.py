@@ -10,7 +10,7 @@ from drotree.errors import InvalidRemoval, StageOutOfRange
 from drotree.lp import LinearProgram, LpSolution
 from drotree.oracle import PATHS, RemovalSet, assess_paths
 from drotree.solver import SolveOutcome, _evaluate, solve_extensive
-from drotree.tree import ScenarioTree, TreeNode, from_dict
+from drotree.tree import ScenarioTree, from_dict
 from drotree.tvrisk import FiniteDist, _eq_tol, worst_case_expectation
 
 

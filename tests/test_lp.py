@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drotree import lp as lpmod
-from drotree.gen import gen_water_analog
+import drotree.solver as solver_module
+from drotree.gen import gen_random, gen_water_analog
 from drotree.lp import (LinearProgram, solve_lp,
                         OPTIMAL, INFEASIBLE, UNBOUNDED, write_cplex_lp)
-from drotree.solver import build_extensive
+from drotree.oracle import (PATHS, REALIZATIONS, RemovalSet, assess_paths,
+                            assess_realizations)
+from drotree.solver import build_extensive, solve_benders, solve_extensive
 
 from helpers import duality_report
 
@@ -267,3 +270,96 @@ def test_determinism_bitwise():
     assert a.objective_value == b.objective_value
     assert np.array_equal(a.primal, b.primal)
     assert np.array_equal(a.duals, b.duals)
+
+
+def _random_lp(rng, feasible):
+    """A small LP with about half its coefficients zero and a mix of
+    bounds (free, upper-only, boxed); feasible ones contain a point x0."""
+    m, n = int(rng.integers(2, 10)), int(rng.integers(2, 10))
+    A = rng.uniform(-5, 5, size=(m, n)) * (rng.random((m, n)) < 0.5)
+    x0 = rng.uniform(-2, 2, size=n)
+    kinds = rng.integers(0, 4, size=n)
+    lower = np.where(kinds == 0, 0.0, np.where(kinds == 3, x0 - 1, -math.inf))
+    upper = np.where(np.isin(kinds, (1, 3)), x0 + 1, math.inf)
+    x0 = np.maximum(x0, lower)
+    prob = LinearProgram(n, rng.uniform(-1, 1, size=n), lower=lower,
+                         upper=upper)
+    for i in range(m):
+        sense = lpmod._SENSES[rng.integers(0, 3)]
+        rhs = float(A[i] @ x0) if feasible else float(rng.uniform(-5, 5))
+        prob.add_row({j: float(a) for j, a in enumerate(A[i]) if a != 0.0},
+                     sense, rhs)
+    return prob
+
+
+def _lp_corpus(monkeypatch):
+    """The water root LP, the root LP and every Benders node LP of three
+    random trees, and random feasible and infeasible LPs."""
+    lps = [build_extensive(gen_water_analog(0, gamma=0.95))[0]]
+    solve = solver_module.solve_lp
+    with monkeypatch.context() as mp:
+        mp.setattr(solver_module, "solve_lp",
+                   lambda lp: lps.append(lp) or solve(lp))
+        for seed, T, branching in ((3, 3, 3), (5, 4, 2), (11, 3, 4)):
+            tree = gen_random(seed, T=T, branching=branching)
+            lps.append(build_extensive(tree)[0])
+            solve_benders(tree)
+    rng = np.random.default_rng(17)
+    lps += [_random_feasible_lp(rng) for _ in range(40)]
+    lps += [_random_lp(rng, feasible=f) for f in (True, False) * 60]
+    return lps
+
+
+def _bits(sol):
+    """Every LpSolution field, floats and arrays as their raw bytes."""
+    def raw(v):
+        return None if v is None else np.asarray(v, dtype=float).tobytes()
+    return (sol.status, raw(sol.objective_value), raw(sol.primal),
+            raw(sol.duals), raw(sol.farkas), raw(sol.phase1_value))
+
+
+def test_restricted_pivot_update_is_bit_identical(monkeypatch):
+    """Forcing every pivot onto the restricted update, then every pivot
+    onto the dense one, gives the same bits in every solution field."""
+    lps = _lp_corpus(monkeypatch)
+    above_all = 1 + max(lpmod._tableau(lp)[0].size for lp in lps)
+    ix = np.ix_
+    runs = []
+    for min_cells in (0, above_all):
+        restricted = []   # one entry per restricted update
+        with monkeypatch.context() as mp:
+            mp.setattr(lpmod, "SPARSE_MIN_CELLS", min_cells)
+            mp.setattr(np, "ix_", lambda *a: restricted.append(a) or ix(*a))
+            sols = [solve_lp(lp) for lp in lps]
+        runs.append((sols, len(restricted)))
+    (sparse, n_sparse), (dense, n_dense) = runs
+    assert n_sparse > 0 and n_dense == 0
+    assert {sol.status for sol in dense} >= {OPTIMAL, INFEASIBLE}
+    for i, (a, b) in enumerate(zip(sparse, dense)):
+        assert _bits(a) == _bits(b), f"LP {i} of the corpus"
+
+
+def test_sparse_gate_takes_only_root_lps(monkeypatch):
+    """On water the extensive root LP is above the gate, while every other
+    LP (policy extraction, Benders, an oracle assessment) is below it, so
+    the small LPs keep the dense update."""
+    sizes = []
+    tableau = lpmod._tableau
+
+    def recording(lp):
+        out = tableau(lp)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(lpmod, "_tableau", recording)
+    gate = lpmod.SPARSE_MIN_CELLS
+    tree = gen_water_analog(0, gamma=0.95)
+    outcome = solve_extensive(tree)
+    assert sizes[0] >= gate and max(sizes[1:]) < gate
+    sizes.clear()
+    solve_benders(tree)
+    leaf = tree.leaves()[0]
+    assess_paths(tree, RemovalSet(PATHS, frozenset({leaf})), outcome)
+    assess_realizations(tree, RemovalSet(REALIZATIONS, frozenset({leaf})),
+                        outcome)
+    assert sizes and max(sizes) < gate

@@ -11,7 +11,6 @@ from drotree.effectiveness import (
     INEFFECTIVE,
     UNIDENTIFIED,
     ClassifierSettings,
-    classify_node_children,
     classify_paths,
     classify_tree,
 )
@@ -27,7 +26,6 @@ from drotree.lp import solve_lp
 from drotree.oracle import (
     PATHS,
     REALIZATIONS,
-    AssessmentResult,
     RemovalSet,
     _verdict,
     assess_paths,
