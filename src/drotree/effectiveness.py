@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from .errors import NotSolved
 from .solver import SolveOutcome, solve_extensive
 from .tree import ScenarioTree, with_uniform_gamma
-from .tvrisk import (REMOVAL_FEAS_TOL, FiniteDist, categorize,
-                     worst_case_expectation,
-                     worst_case_expectation_restricted)
+from .tvrisk import (FiniteDist, categorize, removal_empties,
+                     worst_case_expectation)
 
 EFFECTIVE = "Effective"
 INEFFECTIVE = "Ineffective"
@@ -137,11 +136,11 @@ def classify_node_children(
             # at the recorded child values still certifies Effective
             # (re-optimizing the stage decision can only drop further);
             # no drop certifies nothing either way.
-            res = worst_case_expectation_restricted(dist, gamma, {idx})
-            if res is None:
+            if removal_empties(q, [idx], gamma):
                 out.append(CondLabel(c, EFFECTIVE, lab, "removal-infeasible"))
                 continue
             base = worst_case_expectation(dist, gamma).value
+            res = worst_case_expectation(dist, gamma, [idx])
             eps = eff_tolerance(outcome.q_values.get(node, base))
             if base - res.value > eps:
                 out.append(CondLabel(c, EFFECTIVE, lab, "at-sup-tie-drop"))
@@ -153,7 +152,10 @@ def classify_node_children(
             out.append(CondLabel(c, EFFECTIVE, lab, "above-var"))
         elif lab == "C1":
             out.append(CondLabel(c, INEFFECTIVE, lab, "below-var"))
-        elif abs(c2_mass - gamma) <= MASS_EQ_TOL:
+        elif abs(c2_mass - gamma) <= MASS_EQ_TOL and \
+                not removal_empties(q, [idx], gamma):
+            # a child whose removal empties the ball is effective however
+            # close its mass is to gamma; it falls through to the rules below
             out.append(CondLabel(c, INEFFECTIVE, lab, "at-var-mass-equals-gamma"))
         elif c2_mass > gamma and n_c2 == 1:
             out.append(CondLabel(c, EFFECTIVE, lab, "at-var-singleton-above-gamma"))
@@ -187,17 +189,20 @@ def classify_paths(
     shallowest such node), Unidentified otherwise.
 
     One override comes first: removing a single path only restricts the
-    last-stage ambiguity set at its parent, so when the leaf's own mass
-    exceeds that radius the restricted set is empty and the path is
+    last-stage ambiguity set at its parent, so when that removal empties
+    the set (tvrisk.removal_empties: the leaf's own mass exceeds the
+    radius, or the leaf is its parent's only child) the path is
     effective by the +inf convention, whatever the arc labels say. The
     arc combination rule is silent about this corner, and the re-solving
-    oracle applies the same convention, so it is decided here too."""
+    oracle applies the same rule, so it is decided here too."""
     if cond is None:
         cond = classify_tree(tree, outcome, settings)
     out = []
     for leaf in tree.leaves():
         parent = tree.parent(leaf)
-        if tree.node(leaf).q_cond > tree.gamma_for_children_of(parent) + REMOVAL_FEAS_TOL:
+        if removal_empties(tree.q_children(parent),
+                           [tree.children(parent).index(leaf)],
+                           tree.gamma_for_children_of(parent)):
             out.append(PathLabel(leaf, EFFECTIVE, None, "removal-infeasible"))
             continue
         arcs = [cond[n] for n in tree.path(leaf)[1:]]

@@ -21,10 +21,6 @@ class StageOutOfRange(DrotreeError):
     """Requested stage lies outside [1, T]."""
 
 
-class MixedStages(DrotreeError):
-    """A node set that must be stage-homogeneous is not."""
-
-
 class NumericalBreakdown(DrotreeError):
     """Simplex pivot magnitude fell below the breakdown threshold."""
 

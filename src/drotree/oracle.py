@@ -131,9 +131,13 @@ def _restricted_value(tree, removals, baseline, node, incoming) -> float:
 
 
 def _group_by_parent(tree: ScenarioTree, ids) -> dict[str, frozenset]:
-    parents = tree.ancestor_set(ids)
-    return {p: frozenset(i for i in ids if tree.parent(i) == p)
-            for p in parents}
+    """The ids under each of their parents, parents in file order. The
+    callers have checked that the ids share one stage below the root."""
+    groups: dict[str, set] = {}
+    for i in ids:
+        groups.setdefault(tree.parent(i), set()).add(i)
+    return {n.id: frozenset(groups[n.id]) for n in tree.nodes
+            if n.id in groups}
 
 
 def _validate_paths(tree: ScenarioTree, removal: RemovalSet):

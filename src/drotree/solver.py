@@ -20,11 +20,7 @@ from .errors import (
 )
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 from .tree import ScenarioTree
-from .tvrisk import (
-    REMOVAL_FEAS_TOL,
-    FiniteDist,
-    worst_case_expectation,
-)
+from .tvrisk import FiniteDist, removal_empties, worst_case_expectation
 
 POLICY_FEAS_TOL = 1e-7
 
@@ -54,9 +50,9 @@ class SolveOutcome:
 
 def check_removals(tree: ScenarioTree, removals) -> dict[str, frozenset]:
     """Normalize a node -> removed-children mapping and reject removals
-    that leave the restricted ambiguity set empty (all children gone, or
-    removed nominal mass beyond the radius). Callers that want +inf
-    semantics for emptiness must test for it before coming here."""
+    that leave the restricted ambiguity set empty (tvrisk.removal_empties).
+    Callers that want +inf semantics for emptiness must test for it
+    before coming here."""
     out = {}
     for nid, gone in (removals or {}).items():
         gone = frozenset(gone)
@@ -67,15 +63,12 @@ def check_removals(tree: ScenarioTree, removals) -> dict[str, frozenset]:
         if unknown:
             raise ValueError(
                 f"removal at {nid!r} names non-children {sorted(unknown)}")
-        if len(gone) >= len(kids):
-            raise InstanceInfeasible(
-                f"every child of {nid!r} removed: no distribution remains")
-        mass = sum(tree.node(c).q_cond for c in gone)
         g = tree.gamma_for_children_of(nid)
-        if mass > g + REMOVAL_FEAS_TOL:
+        if removal_empties(tree.q_children(nid),
+                           [i for i, c in enumerate(kids) if c in gone], g):
             raise InstanceInfeasible(
-                f"removed nominal mass {mass:.6g} at {nid!r} exceeds "
-                f"radius {g:.6g}")
+                f"removing {sorted(gone)} at {nid!r} empties its ambiguity "
+                f"set of radius {g:.6g}")
         out[nid] = gone
     return out
 
@@ -200,7 +193,7 @@ def _evaluate(tree: ScenarioTree, policy, removals=None, root=None):
     `root`, and the worst-case child distributions realized along the way.
     It does not check the policy's feasibility; _check_policy does. Node
     LPs come from the tree's cache (ScenarioTree.node_lp)."""
-    removals = {k: frozenset(v) for k, v in (removals or {}).items() if v}
+    removals = removals or {}
     root_id = tree.root() if root is None else root
     q_values: dict[str, float] = {}
     worst: dict[str, tuple[float, ...]] = {}

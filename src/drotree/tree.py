@@ -11,12 +11,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import (MixedStages, ParseError, StageOutOfRange, UnknownNode,
-                     ValidationError)
+from .errors import ParseError, StageOutOfRange, UnknownNode, ValidationError
 from .stage import (MALFORMED, StageTemplate, as_int, materialize,
                     parse_template, template_to_json)
-
-Q_SUM_TOL = 1e-12
+from .tvrisk import PROB_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ class ScenarioTree:
                     raise ValidationError(
                         f"node {nd.id!r}: stage {nd.stage} but parent at "
                         f"stage {pstage}")
-            if not 0.0 <= nd.q_cond <= 1.0 + 1e-12:
+            if not 0.0 <= nd.q_cond <= 1.0 + PROB_SUM_TOL:
                 raise ValidationError(
                     f"node {nd.id!r}: q {nd.q_cond!r} outside [0, 1]")
             where = f"node {nd.id!r}"
@@ -125,7 +123,7 @@ class ScenarioTree:
                     f"node {nd.id!r}: leaf stage node has children")
             if kids:
                 s = sum(self._index[k].q_cond for k in kids)
-                if abs(s - 1.0) > Q_SUM_TOL:
+                if abs(s - 1.0) > PROB_SUM_TOL:
                     raise ValidationError(
                         f"node {nd.id!r}: children probabilities sum to "
                         f"{s!r}, not 1")
@@ -164,20 +162,6 @@ class ScenarioTree:
             nd = self._index[nd.parent]
             out.append(nd.id)
         return out[::-1]
-
-    def ancestor_set(self, node_ids) -> list[str]:
-        """Distinct parents of a stage-homogeneous node set, in canonical
-        (instance file) order."""
-        ids = list(node_ids)
-        if not ids:
-            return []
-        stages = {self.node(i).stage for i in ids}
-        if len(stages) > 1:
-            raise MixedStages(f"nodes span stages {sorted(stages)}")
-        if stages == {1}:
-            return []
-        parents = {self.node(i).parent for i in ids}
-        return [n.id for n in self.nodes if n.id in parents]
 
     def gamma_for_children_of(self, node_id: str) -> float:
         """Ambiguity radius of the ambiguity set sitting at node_id,

@@ -123,8 +123,8 @@ def worst_case_expectation(dist: FiniteDist, gamma: float,
     The returned maximizer starts from q with the removed children
     zeroed, adds delta = min(gamma, 1 - mass(argmax_K)) to the first
     max-value kept child, and drains delta - m from the lowest-value kept
-    children upward, each floored at zero. Callers keep some child and m
-    within REMOVAL_FEAS_TOL of gamma; m is clamped to gamma, so a rounding
+    children upward, each floored at zero. Callers pass only removals for
+    which removal_empties is false; m is clamped to gamma, so a rounding
     excess such as 0.1 + 0.2 against 0.3 still gives a in [0, 1].
     """
     if not 0.0 <= gamma <= 1.0:
@@ -168,22 +168,36 @@ def worst_case_expectation(dist: FiniteDist, gamma: float,
     return WorstCaseResult(float(value), np.maximum(p, 0.0))
 
 
+def removal_empties(probs, removed, gamma: float) -> bool:
+    """Whether forcing the children at indices `removed` to zero empties
+    the TV ball of radius gamma around the nominal `probs`: every child is
+    removed, or the removed nominal mass, summed in child order, exceeds
+    gamma by more than REMOVAL_FEAS_TOL. This is the one emptiness rule;
+    an empty restricted set has worst case +inf, so its removal counts as
+    effective."""
+    gone = sorted(set(removed))
+    if len(gone) >= len(probs):
+        return True
+    mass = 0.0
+    for i in gone:
+        mass += float(probs[i])
+    return mass > gamma + REMOVAL_FEAS_TOL
+
+
 def worst_case_expectation_restricted(
         dist: FiniteDist, gamma: float,
         removed: set[int] | frozenset[int]) -> WorstCaseResult | None:
-    """Worst case over the TV ball with p forced to zero on `removed`
-    (indices): the closed form of worst_case_expectation. Returns None
-    when the restriction empties the ball, which happens exactly when the
-    removed nominal mass exceeds gamma (beyond tolerance) or every child
-    is removed."""
+    """worst_case_expectation with the removed indices validated, or None
+    when removal_empties says the restriction empties the ball. Nothing
+    in the package calls it; it stays only because bench/tracing.py wraps
+    it by name, and goes with the benchmark change of ROADMAP item 2(c)."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma outside [0, 1]")
     removed = frozenset(int(i) for i in removed)
     bad = sorted(i for i in removed if not 0 <= i < dist.n)
     if bad:
         raise ValueError(f"removed indices {bad} out of range")
-    mass = float(dist.probs[sorted(removed)].sum())
-    if len(removed) == dist.n or mass > gamma + REMOVAL_FEAS_TOL:
+    if removal_empties(dist.probs, removed, gamma):
         return None
     return worst_case_expectation(dist, gamma, removed)
 

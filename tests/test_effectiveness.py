@@ -18,6 +18,8 @@ from drotree.effectiveness import (
 )
 from drotree.errors import NotSolved, StageOutOfRange
 from drotree.gen import gen_water_analog
+from drotree.oracle import (PATHS, RemovalSet, assess_paths, check_labels,
+                            identified_labels)
 from drotree.solver import SolveOutcome, solve_extensive
 from drotree.tree import from_dict, with_uniform_gamma
 from drotree.tvrisk import (
@@ -26,7 +28,7 @@ from drotree.tvrisk import (
     worst_case_expectation_restricted,
 )
 
-from helpers import leaf_value_tree
+from helpers import chain_tree, leaf_value_tree
 
 
 def fake_outcome(q_values):
@@ -116,6 +118,41 @@ def test_knife_edge_where_rules_split():
     restr = worst_case_expectation_restricted(dist, gamma, frozenset({1}))
     assert base == pytest.approx(2.8)
     assert restr.value == pytest.approx(2.6)
+
+
+@pytest.mark.parametrize("eps, label, reason", [
+    (2e-10, EFFECTIVE, "at-var-singleton-above-gamma"),
+    (5e-10, EFFECTIVE, "at-var-singleton-above-gamma"),
+    (5e-11, INEFFECTIVE, "at-var-mass-equals-gamma"),
+])
+def test_knife_edge_mass_rule_defers_to_the_emptiness_rule(eps, label, reason):
+    # l0's mass is gamma up to 1e-9, so "mass equals gamma" would call it
+    # ineffective. Beyond the 1e-10 removal tolerance its removal empties
+    # the ball, so the oracle finds it infeasible, hence Effective
+    tree = leaf_value_tree([1.0, 2.0], q=[0.3 + eps, 0.7 - eps], gamma=0.3)
+    out = solve_extensive(tree)
+    cond = classify_tree(tree, out)
+    assert (cond["l0"].label, cond["l0"].reason) == (label, reason)
+    records = check_labels(tree, out,
+                           identified_labels(cond, classify_paths(tree, out)))
+    assert len(records) == 4
+    assert all(r["agree"] for r in records)
+    assert [r["infeasible"] for r in records if r["id"] == "l0"] == \
+        [label == EFFECTIVE] * 2
+
+
+def test_sole_child_path_is_effective_by_convention():
+    # removing the only child empties its parent's set at any radius,
+    # including gamma = 1 where every arc label is Unidentified
+    tree = chain_tree(depth=3, gamma=1.0)
+    out = solve_extensive(tree)
+    assert {c.label for c in classify_tree(tree, out).values()} == \
+        {UNIDENTIFIED}
+    [path] = classify_paths(tree, out)
+    assert (path.leaf, path.label, path.reason) == \
+        ("n3", EFFECTIVE, "removal-infeasible")
+    res = assess_paths(tree, RemovalSet(PATHS, frozenset({"n3"})), out)
+    assert res.infeasible and res.verdict == EFFECTIVE
 
 
 def test_gamma_boundary_gives_unidentified():

@@ -233,6 +233,15 @@ def test_mixed_stage_realizations_rejected():
         assess_realizations(tree, reals(stage2, leaf), out)
 
 
+def test_realizations_grouped_under_parents_in_file_order():
+    tree = with_uniform_gamma(gen_random(seed=3, T=3, branching=2), 0.5)
+    parents = tree.stage_nodes(2)
+    ids = [tree.children(p)[0] for p in reversed(parents)]
+    assert oracle._group_by_parent(tree, ids) == {
+        p: frozenset({tree.children(p)[0]}) for p in parents}
+    assert list(oracle._group_by_parent(tree, ids)) == parents
+
+
 def test_classifier_oracle_agreement_smoke():
     # miniature of the acceptance sweep: every identified conditional
     # label must match the re-solve verdict, and every identified path

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drotree.errors import (
-    MixedStages,
     ParseError,
     StageOutOfRange,
     UnknownNode,
@@ -95,8 +94,6 @@ def test_queries_and_errors():
     assert project(tree, "n4", 2) == "n2"
     assert project(tree, "n4", 4) == "n4"
     assert tree.path("n3") == ["n1", "n2", "n3"]
-    assert tree.ancestor_set(["n4"]) == ["n3"]
-    assert tree.ancestor_set([]) == []
     with pytest.raises(UnknownNode):
         tree.node("missing")
     with pytest.raises(StageOutOfRange):
@@ -105,15 +102,6 @@ def test_queries_and_errors():
         project(tree, "n4", 0)
     with pytest.raises(StageOutOfRange):
         project(tree, "n2", 3)
-    with pytest.raises(MixedStages):
-        tree.ancestor_set(["n4", "n3"])
-
-
-def test_ancestor_set_basics():
-    tree = leaf_value_tree([1.0, 2.0])
-    assert tree.ancestor_set(["l0", "l1"]) == ["r"]
-    assert tree.ancestor_set(["l1"]) == ["r"]
-    assert tree.ancestor_set(["r"]) == []
 
 
 def test_gamma_for_children_and_q_children():

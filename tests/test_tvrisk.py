@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from drotree.lp import LinearProgram, solve_lp, OPTIMAL
 from drotree.tvrisk import (FiniteDist, psi, var_level, cvar,
-                            worst_case_expectation,
+                            removal_empties, worst_case_expectation,
                             worst_case_expectation_restricted, categorize)
 
 from helpers import tv_distance, worst_case_is_unique
@@ -111,6 +111,18 @@ def test_restricted_remove_all_is_infeasible():
 
 def test_restricted_mass_exceeds_radius_infeasible():
     assert worst_case_expectation_restricted(THIRDS, 0.3, {0, 1}) is None
+
+
+def test_removal_empties_all_gone_or_mass_beyond_radius():
+    q = [0.1, 0.2, 0.3, 0.4]
+    assert removal_empties(q, [0, 1, 2, 3], 1.0)
+    assert removal_empties([1.0], [0], 1.0)  # a sole child
+    assert removal_empties(q, [3], 0.3)
+    # 0.1 + 0.2 rounds above 0.3, inside the removal tolerance
+    assert not removal_empties(q, [1, 0], 0.3)
+    assert not removal_empties(q, [0, 0, 1], 0.3)
+    assert removal_empties(q, [0, 1], 0.3 - 2e-10)
+    assert not removal_empties(q, [], 0.0)
 
 
 def test_restricted_zero_prob_child_matches_unrestricted():
