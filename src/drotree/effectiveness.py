@@ -16,21 +16,18 @@ from dataclasses import dataclass
 from .errors import NotSolved
 from .solver import SolveOutcome, solve_extensive
 from .tree import ScenarioTree, with_uniform_gamma
-from .tvrisk import (FiniteDist, categorize, removal_empties,
-                     worst_case_expectation)
+from .tvrisk import (REMOVAL_FEAS_TOL, FiniteDist, categorize,
+                     removal_empties, worst_case_expectation)
 
 EFFECTIVE = "Effective"
 INEFFECTIVE = "Ineffective"
 UNIDENTIFIED = "Unidentified"
 
-# equality tolerance for probability-mass comparisons against gamma
-MASS_EQ_TOL = 1e-9
-
 
 def eff_tolerance(baseline: float) -> float:
-    """Strict-decrease threshold shared by the classifier soundness tests
-    and the assessment oracle: a removal counts as effective only when it
-    lowers the value by more than this."""
+    """Strict-decrease threshold shared by the classifier's Effective
+    certificate and the assessment oracle: a removal counts as effective
+    only when it lowers the value by more than this."""
     return 1e-6 * max(1.0, abs(baseline))
 
 # edge styling used by the DOT export, keyed by conditional label
@@ -104,6 +101,15 @@ def classify_node_children(
 ) -> list[CondLabel]:
     """Label every child of `node`, in file order.
 
+    The paper's rules propose a label from each child's category. An
+    Ineffective or residual label stands; an Effective one must pass one
+    certificate: the removal empties the ball (tvrisk.removal_empties), or
+    it lowers the worst case at the recorded child values by more than
+    eff_tolerance(node value). Re-optimizing the stage decision can only
+    lower the restricted value further, so the oracle sees at least that
+    drop. A proposal that fails comes back Unidentified with reason
+    "<rule>-no-drop" ("at-sup-tie" for a tie at the sup).
+
     The rules only apply when the radius is strictly inside (0, 1) and
     every child carries positive nominal mass; otherwise all children
     come back Unidentified and the oracle has to resolve them.
@@ -126,41 +132,34 @@ def classify_node_children(
         c2_mass += sum(qi for qi, lab in zip(q, cats.labels) if lab == "C1")
     n_c2 = cats.labels.count("C2")
     n_c4 = cats.labels.count("C4")
+    base = worst_case_expectation(dist, gamma).value
+    eps = eff_tolerance(outcome.q_values.get(node, base))
 
     out = []
     for idx, (c, lab) in enumerate(zip(kids, cats.labels)):
-        if lab == "C4" and n_c4 > 1:
-            # ties at the sup: dropping one of several sup children can
-            # leave the worst case unchanged, so the blanket at-sup rule
-            # does not apply. A strict drop of the restricted worst case
-            # at the recorded child values still certifies Effective
-            # (re-optimizing the stage decision can only drop further);
-            # no drop certifies nothing either way.
-            if removal_empties(q, [idx], gamma):
-                out.append(CondLabel(c, EFFECTIVE, lab, "removal-infeasible"))
-                continue
-            base = worst_case_expectation(dist, gamma).value
-            res = worst_case_expectation(dist, gamma, [idx])
-            eps = eff_tolerance(outcome.q_values.get(node, base))
-            if base - res.value > eps:
-                out.append(CondLabel(c, EFFECTIVE, lab, "at-sup-tie-drop"))
-            else:
-                out.append(CondLabel(c, UNIDENTIFIED, lab, "at-sup-tie"))
-        elif lab == "C4":
-            out.append(CondLabel(c, EFFECTIVE, lab, "at-sup"))
-        elif lab == "C3":
-            out.append(CondLabel(c, EFFECTIVE, lab, "above-var"))
-        elif lab == "C1":
+        if lab == "C1":
             out.append(CondLabel(c, INEFFECTIVE, lab, "below-var"))
-        elif abs(c2_mass - gamma) <= MASS_EQ_TOL and \
-                not removal_empties(q, [idx], gamma):
-            # a child whose removal empties the ball is effective however
-            # close its mass is to gamma; it falls through to the rules below
+            continue
+        if lab == "C2" and abs(c2_mass - gamma) <= REMOVAL_FEAS_TOL:
             out.append(CondLabel(c, INEFFECTIVE, lab, "at-var-mass-equals-gamma"))
-        elif c2_mass > gamma and n_c2 == 1:
-            out.append(CondLabel(c, EFFECTIVE, lab, "at-var-singleton-above-gamma"))
-        else:
+            continue
+        if lab == "C2" and (c2_mass <= gamma or n_c2 > 1):
             out.append(CondLabel(c, UNIDENTIFIED, lab, "at-var-residual"))
+            continue
+        # the rules propose Effective; the certificate decides
+        empties = removal_empties(q, [idx], gamma)
+        if lab == "C4" and n_c4 > 1:  # tied at the sup: only the drop decides
+            rule = "removal-infeasible" if empties else "at-sup-tie-drop"
+            fail = "at-sup-tie"
+        else:
+            rule = {"C2": "at-var-singleton-above-gamma", "C3": "above-var",
+                    "C4": "at-sup"}[lab]
+            fail = rule + "-no-drop"
+        if empties or \
+                base - worst_case_expectation(dist, gamma, [idx]).value > eps:
+            out.append(CondLabel(c, EFFECTIVE, lab, rule))
+        else:
+            out.append(CondLabel(c, UNIDENTIFIED, lab, fail))
     return out
 
 

@@ -22,7 +22,10 @@ class StageOutOfRange(DrotreeError):
 
 
 class NumericalBreakdown(DrotreeError):
-    """Simplex pivot magnitude fell below the breakdown threshold."""
+    """A solve cannot be trusted: a simplex pivot fell below its
+    breakdown threshold or the simplex hit its iteration limit, or a
+    Benders lower bound exceeded its upper bound (the theta floor was
+    not a valid bound)."""
 
 
 class MissingXiField(DrotreeError):

@@ -12,7 +12,8 @@ and the borderline flag (drop <= BORDERLINE_FACTOR * eff_tolerance) are
 step functions of the drop, so when both ends of the bracket give the
 same pair, every value inside it does too, and Benders decides the
 assessment with the upper bound as its value. When the bracket straddles
-a threshold, or Benders stops above BENDERS_TOL or fails, the restricted
+a threshold, or Benders stops above BENDERS_TOL or fails (an infeasible
+subproblem, or a bracket inverted by its theta floor), the restricted
 extensive root LP decides instead, so Benders never marks an assessment
 infeasible on its own. Only the root LP is solved, never the policy
 extraction of solve_extensive, whose policy an assessment does not need.
@@ -120,8 +121,8 @@ def _restricted_value(tree, removals, baseline, node, incoming) -> float:
     try:
         ben = solve_benders(tree, tol=BENDERS_TOL, removals=removals,
                             root=node, fixed_incoming=incoming)
-    except InstanceInfeasible:
-        ben = None  # the root LP decides whether it really is
+    except (InstanceInfeasible, NumericalBreakdown):
+        ben = None  # the root LP decides: infeasible, or an inverted bracket
     if ben is not None and ben.gap <= BENDERS_TOL and \
             _bands(ben.lower, baseline) == _bands(ben.objective, baseline):
         return ben.objective

@@ -17,6 +17,7 @@ from .errors import (
     InfeasiblePolicy,
     InstanceInfeasible,
     InstanceUnbounded,
+    NumericalBreakdown,
 )
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 from .tree import ScenarioTree
@@ -381,7 +382,10 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     worst-case distribution over the current approximations. Infeasible
     child solves yield feasibility cuts on the parent. Stops when
     (upper - lower) <= tol * max(1, |lower|) or after max_iter passes;
-    the outcome records the achieved gap and lower bound either way.
+    the outcome records the achieved gap and lower bound either way. A
+    lower bound above the upper one by more than that tolerance means the
+    theta floor (_theta_floor) was not a valid bound on some cost-to-go,
+    and raises NumericalBreakdown rather than report a wrong optimum.
     Each completed pass is evaluated once: the outcome keeps the policy,
     values and worst-case distributions of the pass with the best upper
     bound, and that policy's feasibility is checked once, at the end.
@@ -444,6 +448,11 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
             best_value = value
             best = (xvals, q_values, worst)
         gap = (best_value - lower) / max(1.0, abs(lower))
+        if gap < -tol:
+            raise NumericalBreakdown(
+                f"Benders lower bound {lower!r} exceeds its upper bound "
+                f"{best_value!r}; the theta floor {floor!r} cuts off the "
+                "cost-to-go")
         if gap <= tol:
             break
 

@@ -21,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# probability-mass rounding allowance: a sum against 1, a cumulative
+# mass against a quantile level
 PROB_SUM_TOL = 1e-12
+# removed nominal mass against gamma (removal_empties)
 REMOVAL_FEAS_TOL = 1e-10
 
 
@@ -82,7 +85,7 @@ def var_level(dist: FiniteDist, beta: float) -> float:
     if beta <= 0.0:
         return float(dist.values.min())
     for v in np.unique(dist.values):
-        if psi(dist, float(v)) >= beta - 1e-12:
+        if psi(dist, float(v)) >= beta - PROB_SUM_TOL:
             return float(v)
     return float(dist.values.max())
 

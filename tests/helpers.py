@@ -189,6 +189,35 @@ def chain_tree(depth=3, gamma=0.5):
     })
 
 
+def steep_link_tree(scale):
+    """Two-stage tree whose leaf costs-to-go reach about -3 * scale.
+
+    Root: x in [0, 1] at no cost, no rows. Leaves d = 1 and 2, mass 0.5
+    each, radius 0.5: one free variable y with unit cost and the row
+    y + scale * x >= -scale * d. The optimum is -2 * scale at x = 1, so
+    Benders' -1e8 theta floor is valid at scale 1e6 and cuts the
+    cost-to-go off at scale 1e9.
+    """
+    nodes = [{"id": "r", "stage": 1, "parent": None, "q": 1.0, "xi": {}}]
+    for k, d in enumerate((1.0, 2.0)):
+        nodes.append({"id": f"l{k}", "stage": 2, "parent": "r", "q": 0.5,
+                      "xi": {"d": d}})
+    return from_dict({
+        "name": "steep",
+        "stages": 2,
+        "gamma": [0.5],
+        "nodes": nodes,
+        "stage_templates": [
+            {"n_vars": 1, "cost": [0.0], "rows": [],
+             "var_bounds": [[0.0, 1.0]]},
+            {"n_vars": 1, "cost": [1.0],
+             "rows": [{"self": {"0": 1.0}, "link": {"0": scale},
+                       "sense": ">=", "rhs": {"xi": "d", "scale": -scale}}],
+             "var_bounds": [[None, None]]},
+        ],
+    })
+
+
 def minimal_dict(**overrides):
     base = {
         "name": "mini",

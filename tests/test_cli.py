@@ -13,7 +13,7 @@ from drotree.oracle import check_labels
 from drotree.solver import solve_benders, solve_extensive
 from drotree.tree import load_instance, to_dict
 
-from helpers import leaf_value_tree
+from helpers import leaf_value_tree, steep_link_tree
 
 
 def run(*argv):
@@ -273,6 +273,39 @@ def test_tied_sup_children_stay_unidentified(tmp_path):
     assert all(n["cond_label"] == "Unidentified" for n in blob["nodes"]
                if n["stage"] == 2)
     assert blob["oracle"]["n_checked"] == 0
+
+
+@pytest.mark.parametrize("values, q, gamma", [
+    ([1.0, 2.0, 3.0], [0.2, 0.1 + 1e-7, 0.7 - 1e-7], 0.3),
+    ([1.0, 2.0, 2.0 + 1e-8, 3.0], [0.25] * 4, 0.5),
+])
+def test_strict_oracle_accepts_a_hair_above_the_edge(tmp_path, values, q,
+                                                     gamma):
+    # a child whose cumulative mass clears gamma by 1e-7, or whose value
+    # clears VaR by 1e-8, lowers the worst case by less than
+    # eff_tolerance; it stays Unidentified, so no label contradicts the
+    # oracle
+    inst = write_instance(tmp_path, leaf_value_tree(values, q=q, gamma=gamma))
+    rep = str(tmp_path / "rep.json")
+    assert run("classify", inst, "--oracle", "--strict", "--jobs", "1",
+               "--out", rep) == 0
+    blob = json.loads(open(rep).read())
+    assert blob["oracle"]["n_disagreements"] == 0
+    assert [n["cond_label"] for n in blob["nodes"]].count("Unidentified") == 1
+
+
+def test_inverted_benders_bracket_exits_5(tmp_path, capsys):
+    # Benders' theta floor cuts off costs-to-go near -3e9: the solve is a
+    # numerical breakdown, while the oracle falls back to the root LP
+    inst = write_instance(tmp_path, steep_link_tree(1e9))
+    out = str(tmp_path / "out.json")
+    for solver in ("benders", "both"):
+        assert run("solve", inst, "--solver", solver, "--out", out) == 5
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "theta floor" in err
+    assert run("assess", inst, "--paths", "l1", "--out", out) == 0
+    [res] = json.loads(open(out).read())["results"]
+    assert (res["value"], res["verdict"]) == (-2e9, "Ineffective")
 
 
 def test_assess_paths_and_realizations(tmp_path):

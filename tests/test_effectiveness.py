@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drotree.effectiveness import (
     EFFECTIVE,
@@ -126,9 +126,9 @@ def test_knife_edge_where_rules_split():
     (5e-11, INEFFECTIVE, "at-var-mass-equals-gamma"),
 ])
 def test_knife_edge_mass_rule_defers_to_the_emptiness_rule(eps, label, reason):
-    # l0's mass is gamma up to 1e-9, so "mass equals gamma" would call it
-    # ineffective. Beyond the 1e-10 removal tolerance its removal empties
-    # the ball, so the oracle finds it infeasible, hence Effective
+    # "mass equals gamma" and the emptiness rule share the 1e-10 removal
+    # tolerance: within it l0 is Ineffective; beyond it its removal
+    # empties the ball, so the oracle finds it infeasible, hence Effective
     tree = leaf_value_tree([1.0, 2.0], q=[0.3 + eps, 0.7 - eps], gamma=0.3)
     out = solve_extensive(tree)
     cond = classify_tree(tree, out)
@@ -139,6 +139,63 @@ def test_knife_edge_mass_rule_defers_to_the_emptiness_rule(eps, label, reason):
     assert all(r["agree"] for r in records)
     assert [r["infeasible"] for r in records if r["id"] == "l0"] == \
         [label == EFFECTIVE] * 2
+
+
+# a hair above the edge: l1's cumulative mass clears gamma by 1e-7, and
+# l2's value clears VaR by 1e-8; either removal lowers the worst case by
+# less than eff_tolerance, so the oracle calls it Ineffective
+HAIR_ABOVE_GAMMA = ([1.0, 2.0, 3.0], [0.2, 0.1 + 1e-7, 0.7 - 1e-7], 0.3)
+HAIR_ABOVE_VAR = ([1.0, 2.0, 2.0 + 1e-8, 3.0], [0.25] * 4, 0.5)
+
+
+@pytest.mark.parametrize("case, node, reason", [
+    (HAIR_ABOVE_GAMMA, "l1", "at-var-singleton-above-gamma-no-drop"),
+    (HAIR_ABOVE_VAR, "l2", "above-var-no-drop"),
+])
+def test_effective_proposal_without_a_drop_is_unidentified(case, node,
+                                                           reason):
+    values, q, gamma = case
+    labs = {c.node: c for c in two_stage_labels(values, q=q, gamma=gamma)}
+    assert (labs[node].label, labs[node].reason) == (UNIDENTIFIED, reason)
+    # every other child keeps the label of the rule table
+    assert {c.reason for n, c in labs.items() if n != node} <= \
+        {"below-var", "at-var-mass-equals-gamma", "at-sup"}
+
+
+@st.composite
+def near_edge_two_stage(draw):
+    """(values, q, gamma) of a two-stage leaf_value_tree with near ties:
+    values are a few integer levels nudged by hairs up to 1e-7, sorted,
+    and the mass of the lowest k children is gamma plus a hair up to
+    1e-7. Apart from the hairs the data are coarse (gamma in twentieths,
+    masses in small-integer ratios), so a drop is either hair-sized, far
+    below the 1e-6 eff_tolerance floor, or far above it."""
+    n = draw(st.integers(2, 4))
+    hairs = st.sampled_from([0.0, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7])
+    values = sorted(float(draw(st.integers(0, 3))) + draw(hairs)
+                    for _ in range(n))
+    gamma = draw(st.integers(1, 19)) / 20.0
+    k = draw(st.integers(1, n - 1))
+    edge = gamma + draw(st.sampled_from(
+        [0.0, 5e-11, -5e-11, 2e-10, -2e-10, 1e-9, -1e-9, 1e-7, -1e-7]))
+    low = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    high = draw(st.lists(st.integers(1, 4), min_size=n - k, max_size=n - k))
+    q = ([edge * w / sum(low) for w in low]
+         + [(1.0 - edge) * w / sum(high) for w in high])
+    return values, q, gamma
+
+
+@settings(max_examples=15, deadline=None)
+@given(near_edge_two_stage())
+@example(HAIR_ABOVE_GAMMA)
+@example(HAIR_ABOVE_VAR)
+def test_identified_labels_agree_with_the_oracle_near_the_edges(case):
+    values, q, gamma = case
+    tree = leaf_value_tree(values, q=q, gamma=gamma)
+    out = solve_extensive(tree)
+    cond = classify_tree(tree, out)
+    items = identified_labels(cond, classify_paths(tree, out, cond=cond))
+    assert [r for r in check_labels(tree, out, items) if not r["agree"]] == []
 
 
 def test_sole_child_path_is_effective_by_convention():

@@ -8,6 +8,7 @@ from drotree.errors import (
     InfeasiblePolicy,
     InstanceInfeasible,
     InstanceUnbounded,
+    NumericalBreakdown,
 )
 from drotree.gen import gen_random, gen_water_analog
 from drotree.lp import OPTIMAL, LinearProgram, solve_lp
@@ -21,7 +22,7 @@ from drotree.tree import from_dict, with_uniform_gamma
 
 from helpers import (chain_tree, duality_report, leaf_value_tree,
                      minimal_dict, newsvendor_tree, path_probability,
-                     tv_distance)
+                     steep_link_tree, tv_distance)
 
 
 def risk_neutral_lp_value(tree):
@@ -319,6 +320,23 @@ def test_benders_iteration_limit_returns_best_bounds():
     assert out.gap > 0.0
     full = solve_benders(tree, tol=1e-8)
     assert out.objective >= full.objective - 1e-9
+
+
+def test_benders_inverted_bracket_is_a_breakdown():
+    # costs-to-go reach -3e9, below the -1e8 theta floor: the floor
+    # binds, the root picks x = 0 and the pass brackets the optimum
+    # between -1e8 and -1e9, an inverted bracket Benders must not report
+    tree = steep_link_tree(1e9)
+    assert solve_extensive(tree).objective == pytest.approx(-2e9)
+    with pytest.raises(NumericalBreakdown, match="theta floor"):
+        solve_benders(tree)
+    # at 1e6 the floor is a valid bound and both solvers agree
+    tree = steep_link_tree(1e6)
+    ext = solve_extensive(tree)
+    bend = solve_benders(tree)
+    assert ext.objective == pytest.approx(-2e6)
+    assert bend.objective == pytest.approx(ext.objective, rel=1e-9)
+    assert 0.0 <= bend.gap <= 1e-6
 
 
 def test_monotone_in_gamma():
