@@ -16,11 +16,18 @@ output is byte-identical, so one diff of
     PYTHONPATH=src python3 scripts/cli_bytes.py > bytes.txt
 
 from each checks it. It takes about 20 seconds on a 2-vCPU host.
+
+With --keep DIR it also saves what each command produced, in DIR/NNN/
+(NNN its line number from 000): `argv` (the command), `code`, `stdout`,
+`stderr` and `files/NAME` for each file it wrote. scripts/cli_diff.py
+compares two such directories and says which changed bytes are digits.
 """
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import pathlib
 import tempfile
 
 from drotree.cli import main as cli_main
@@ -35,20 +42,32 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def fingerprint(argv, written=()) -> str:
-    """Run one command; hash its stdout, stderr and `written` files."""
+def fingerprint(argv, written=(), keep=None) -> str:
+    """Run one command; hash its stdout, stderr and `written` files, and
+    save them under the directory `keep` when one is given."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli_main(argv)
         except SystemExit as exc:
             code = exc.code
-    files = []
+    stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
+    files = {}
     for name in written:
         with open(name, "rb") as fh:
-            files.append(f"{name}={_sha(fh.read())}")
-    return " ".join([str(code), _sha(out.getvalue().encode()),
-                     _sha(err.getvalue().encode()), *files, *argv])
+            files[name] = fh.read()
+    if keep is not None:
+        keep = pathlib.Path(keep)
+        (keep / "files").mkdir(parents=True)
+        (keep / "argv").write_text(" ".join(argv) + "\n")
+        (keep / "code").write_text(f"{code}\n")
+        (keep / "stdout").write_bytes(stdout)
+        (keep / "stderr").write_bytes(stderr)
+        for name, data in files.items():
+            (keep / "files" / name).write_bytes(data)
+    return " ".join([str(code), _sha(stdout), _sha(stderr),
+                     *(f"{name}={_sha(data)}" for name, data in files.items()),
+                     *argv])
 
 
 def instance_commands(inst: str):
@@ -70,15 +89,26 @@ def instance_commands(inst: str):
             yield ["assess", inst, "--realizations", node.id], ()
 
 
-def main() -> None:
+def commands():
+    """(argv, written files) of the whole set, each instance's `gen` first."""
+    for name, gen_args in INSTANCES:
+        inst = name + ".json"
+        yield ["gen", *gen_args, "--out", inst], (inst,)
+        yield from instance_commands(inst)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", metavar="DIR",
+                        help="also save each command's output under DIR")
+    args = parser.parse_args(argv)
+    keep = None if args.keep is None else pathlib.Path(args.keep).resolve()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, gen_args in INSTANCES:
-            inst = name + ".json"
-            print(fingerprint(["gen", *gen_args, "--out", inst], (inst,)),
+        for k, (cmd, written) in enumerate(commands()):
+            print(fingerprint(cmd, written,
+                              None if keep is None else keep / f"{k:03d}"),
                   flush=True)
-            for argv, written in instance_commands(inst):
-                print(fingerprint(argv, written), flush=True)
 
 
 if __name__ == "__main__":

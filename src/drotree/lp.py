@@ -6,8 +6,12 @@ bounds (defaults: lower 0, upper +inf; both may be infinite).
 One pass, `_tableau`, writes the LP straight into the starting tableau of
 its standard form min c'y, A y (sense) b, y >= 0. Every LP, one without
 rows included, then runs the same two phases from the slack/artificial
-basis: phase 1 minimizes the artificial mass, phase 2 the original cost
-with the artificials locked out. Deterministic: Dantzig pricing with
+basis: a row that is <= once its rhs is made nonnegative starts on its
+slack, every other row on an artificial. So a >= row with rhs 0 is
+negated into a <= row and starts on its slack (a slack crash, Bixby
+1992); in the extensive LP those are the epigraph and risk rows. Phase 1
+minimizes the artificial mass, phase 2 the original cost with the
+artificials locked out. Deterministic: Dantzig pricing with
 lowest-index tie breaks for the first 10*(rows+cols) pivots, then Bland's
 rule, which cannot cycle.
 
@@ -103,6 +107,9 @@ class LpSolution:
     # feasibility cuts without exposing internal bound rows.
     farkas: np.ndarray | None = None
     phase1_value: float | None = None
+    # Set only when status == OPTIMAL: the final basis, as the tableau
+    # column of each row in _tableau's column order. Not part of any output.
+    basis: list[int] | None = None
 
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
@@ -116,10 +123,11 @@ def _tableau(lp: LinearProgram):
     constant and its (column, sign) pairs. Rows: the user rows, then
     x_j <= hi for each lower-bounded variable with a finite upper bound.
     Each rhs has a * constant subtracted term by term; a row whose rhs is
-    then < 0 is negated, zeros included (row_sign -1). After the
+    then < 0, or a >= row whose rhs is then 0, is negated with its sense
+    flipped (row_sign -1), so every rhs is >= 0. After the
     structural columns come a slack (<=) or surplus (>=) column per
     inequality row, an artificial per row that is not <=, and the rhs.
-    Each row's artificial starts basic, else its slack.
+    A <= row starts on its slack, every other row on its artificial.
 
     Returns (tab, basis, cost, art, maps, row_sign, n_user): cost is the
     original objective over all columns, art marks the artificials.
@@ -154,7 +162,7 @@ def _tableau(lp: LinearProgram):
             for k, s in pairs:
                 ents.append((i, k, s * a + 0.0))
         sign = 1.0
-        if rhs < 0:
+        if rhs < 0 or (rhs == 0 and sense == ">="):
             sense, sign = _FLIPPED[sense], -1.0
             flipped.append(i)
         row_sign.append(sign)
@@ -295,7 +303,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         k, s = pairs[0]
         x[j] = const + s * y[k] if len(pairs) == 1 else y[k] - y[k + 1]
     return LpSolution(OPTIMAL, float(lp.objective @ x), x,
-                      row_duals(cost, obj))
+                      row_duals(cost, obj), basis=list(basis))
 
 
 def write_cplex_lp(lp: LinearProgram, names: list[str] | None = None) -> str:

@@ -6,17 +6,11 @@ probability in the relevant ambiguity sets strictly lowers the optimal
 value. This module builds those restricted problems and compares optimal
 values, so it can arbitrate the cheap classifier in effectiveness.py.
 
-Each restricted problem is first solved by nested Benders, which brackets
-its optimum as lower <= v* <= upper. The verdict (drop > eff_tolerance)
-and the borderline flag (drop <= BORDERLINE_FACTOR * eff_tolerance) are
-step functions of the drop, so when both ends of the bracket give the
-same pair, every value inside it does too, and Benders decides the
-assessment with the upper bound as its value. When the bracket straddles
-a threshold, or Benders stops above BENDERS_TOL or fails (an infeasible
-subproblem, or a bracket inverted by its theta floor), the restricted
-extensive root LP decides instead, so Benders never marks an assessment
-infeasible on its own. Only the root LP is solved, never the policy
-extraction of solve_extensive, whose policy an assessment does not need.
+Each restricted problem is decided by its extensive root LP (the whole
+tree for a path assessment; the parent's subtree, with the grandparent's
+decision fixed, for a realization). Only that LP is solved, never the
+policy extraction of solve_extensive, whose policy an assessment does
+not need. An infeasible restricted LP marks the assessment infeasible.
 
 It also holds the label check that `drotree classify --oracle` runs:
 identified_labels lists the classifier's identified labels, and
@@ -30,20 +24,11 @@ from dataclasses import dataclass
 
 from .effectiveness import EFFECTIVE, INEFFECTIVE, UNIDENTIFIED, eff_tolerance
 from .errors import InstanceInfeasible, InvalidRemoval, NotSolved, NumericalBreakdown
-from .solver import (
-    SolveOutcome,
-    _solve_or_raise,
-    build_extensive,
-    check_removals,
-    solve_benders,
-)
+from .solver import SolveOutcome, _solve_or_raise, build_extensive, check_removals
 from .tree import ScenarioTree
 
 # decreases between eff_tolerance and this multiple of it are flagged
 BORDERLINE_FACTOR = 10.0
-# Benders' relative stopping gap for assessments: far inside the 1e-6
-# verdict tolerance, so the reported value is the optimum to ~1e-10
-BENDERS_TOL = 1e-10
 
 PATHS = "Paths"
 REALIZATIONS = "Realizations"
@@ -81,22 +66,19 @@ class AssessmentResult:
     borderline: bool = False
 
 
-def _bands(value: float, baseline: float) -> tuple[bool, bool]:
-    """Where the drop baseline - value sits: (above eff_tolerance, at or
-    below BORDERLINE_FACTOR times it). Verdict and flag follow from it."""
+def _verdict(value: float, baseline: float) -> tuple[float, str, bool]:
+    """The verdict on a restricted value: Effective when the drop
+    baseline - value exceeds eff_tolerance, borderline when it is also at
+    most BORDERLINE_FACTOR times that."""
     eps = eff_tolerance(baseline)
     drop = baseline - value
-    return drop > eps, drop <= BORDERLINE_FACTOR * eps
-
-
-def _verdict(value: float, baseline: float) -> tuple[float, str, bool]:
-    if baseline - value < -eff_tolerance(baseline):
+    if drop < -eps:
         raise NumericalBreakdown(
             f"assessment value {value!r} exceeds baseline {baseline!r}; "
             "restricting the ambiguity sets cannot increase the optimum")
-    effective, below_top = _bands(value, baseline)
+    effective = drop > eps
     return (value, EFFECTIVE if effective else INEFFECTIVE,
-            effective and below_top)
+            effective and drop <= BORDERLINE_FACTOR * eps)
 
 
 def _assess(tree: ScenarioTree, removals, baseline: float,
@@ -106,7 +88,7 @@ def _assess(tree: ScenarioTree, removals, baseline: float,
     with `removals` applied, judged against `baseline`."""
     try:
         removals = check_removals(tree, removals)
-        value = _restricted_value(tree, removals, baseline, node, incoming)
+        value = _restricted_value(tree, removals, node, incoming)
     except InstanceInfeasible:
         return AssessmentResult(node, math.inf, baseline, EFFECTIVE,
                                 infeasible=True)
@@ -115,17 +97,9 @@ def _assess(tree: ScenarioTree, removals, baseline: float,
                             borderline=borderline)
 
 
-def _restricted_value(tree, removals, baseline, node, incoming) -> float:
-    """The restricted optimum, or a Benders upper bound whose bracket
-    already fixes the verdict and the borderline flag (module docstring)."""
-    try:
-        ben = solve_benders(tree, tol=BENDERS_TOL, removals=removals,
-                            root=node, fixed_incoming=incoming)
-    except (InstanceInfeasible, NumericalBreakdown):
-        ben = None  # the root LP decides: infeasible, or an inverted bracket
-    if ben is not None and ben.gap <= BENDERS_TOL and \
-            _bands(ben.lower, baseline) == _bands(ben.objective, baseline):
-        return ben.objective
+def _restricted_value(tree, removals, node, incoming) -> float:
+    """The optimum of the restricted extensive root LP; raises
+    InstanceInfeasible when the restriction leaves no feasible policy."""
     lp, _ = build_extensive(tree, removals=removals, root=node,
                             fixed_incoming=incoming)
     return _solve_or_raise(lp, "restricted problem").objective_value

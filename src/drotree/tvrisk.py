@@ -124,11 +124,13 @@ def worst_case_expectation(dist: FiniteDist, gamma: float,
     a = (gamma - m) / (1 - m), for removed nominal mass m.
 
     The returned maximizer starts from q with the removed children
-    zeroed, adds delta = min(gamma, 1 - mass(argmax_K)) to the first
-    max-value kept child, and drains delta - m from the lowest-value kept
-    children upward, each floored at zero. Callers pass only removals for
-    which removal_empties is false; m is clamped to gamma, so a rounding
-    excess such as 0.1 + 0.2 against 0.3 still gives a in [0, 1].
+    zeroed, adds delta = min(gamma, 1 - mass(argmax_K)) to the first kept
+    child whose value equals sup_K exactly, and drains delta - m from the
+    lowest-value kept children upward, each floored at zero; a child a
+    hair below the sup is drained last, as the closed form prices it, so
+    the maximizer attains the value. Callers pass only removals for which
+    removal_empties is false; m is clamped to gamma, so a rounding excess
+    such as 0.1 + 0.2 against 0.3 still gives a in [0, 1].
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma outside [0, 1]")
@@ -150,7 +152,7 @@ def worst_case_expectation(dist: FiniteDist, gamma: float,
         tail = FiniteDist(h[kept], q[kept] / kept_mass) if gone else dist
         value = (gamma * sup + (1.0 - gamma)
                  * cvar(tail, (gamma - m) / (1.0 - m)))
-    maxmask = kept & (h >= sup - _eq_tol(sup))
+    maxmask = kept & (h == sup)
     skip = maxmask | ~kept
 
     # at radius 0 nothing moves, even where 1 - mass(argmax) rounds below 0

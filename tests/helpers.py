@@ -2,12 +2,13 @@
 several test modules."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from drotree.effectiveness import EFFECTIVE, INEFFECTIVE
 from drotree.errors import InvalidRemoval, StageOutOfRange
-from drotree.lp import LinearProgram, LpSolution
+from drotree.lp import LinearProgram, LpSolution, _tableau
 from drotree.oracle import PATHS, RemovalSet, assess_paths
 from drotree.solver import SolveOutcome, _evaluate, solve_extensive
 from drotree.tree import ScenarioTree, from_dict
@@ -66,6 +67,80 @@ def duality_report(lp: LinearProgram, sol: LpSolution) -> dict:
         "complementarity": max(comp, slack_comp),
         "gap": gap,
     }
+
+
+def _exact_solve(rows, rhs) -> list:
+    """Solve M z = rhs in Fractions; M is square, given as one {column:
+    value} dict per row. Sparse elimination: each step pivots the live
+    row with the fewest entries on its column with the fewest live rows
+    (lowest index among ties), then back-substitutes."""
+    rows, rhs = [dict(r) for r in rows], list(rhs)
+    col_rows = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    live, order = set(range(len(rows))), []
+    while live:
+        i = min(live, key=lambda r: (len(rows[r]), r))
+        assert rows[i], "singular basis"
+        j = min(rows[i], key=lambda c: (len(col_rows[c]), c))
+        live.remove(i)
+        for c in rows[i]:
+            col_rows[c].discard(i)
+        for k in list(col_rows[j]):
+            f = rows[k][j] / rows[i][j]
+            for c, v in rows[i].items():
+                new = rows[k].get(c, 0) - f * v
+                if new:
+                    rows[k][c] = new
+                    col_rows[c].add(k)
+                else:
+                    rows[k].pop(c, None)
+                    col_rows[c].discard(k)
+            rhs[k] -= f * rhs[i]
+        order.append((i, j))
+    z = [None] * len(rows)
+    for i, j in reversed(order):
+        rest = sum((v * z[c] for c, v in rows[i].items() if c != j),
+                   Fraction(0))
+        z[j] = (rhs[i] - rest) / rows[i][j]
+    return z
+
+
+def exact_lp_certificate(lp: LinearProgram, sol: LpSolution) -> Fraction:
+    """Check in exact arithmetic that sol.basis is an optimal basis of
+    the starting tableau that solve_lp builds for `lp` (its float entries
+    taken as exact), and return that LP's exact optimum in lp's terms.
+
+    Solves B z = b and B'y = c_B in Fractions, then asserts primal
+    feasibility (z >= 0, basic artificials at 0) and dual feasibility
+    (reduced costs >= 0 on every column but the artificials)."""
+    tab, _, cost, art, maps, _, _ = _tableau(lp)
+    a, basis = tab[:, :-1], sol.basis
+    exact = {}   # (row, column) -> Fraction of every nonzero entry
+
+    def col(k):
+        return {int(i): exact.setdefault((int(i), k), Fraction(a[i, k]))
+                for i in np.flatnonzero(a[:, k])}
+
+    basic = [col(k) for k in basis]
+    rows = [{} for _ in range(a.shape[0])]
+    for pos, entries in enumerate(basic):
+        for i, v in entries.items():
+            rows[i][pos] = v
+    z = _exact_solve(rows, [Fraction(b) for b in tab[:, -1]])
+    assert all(v >= 0 for v in z), "primal infeasible basis"
+    assert all(v == 0 for v, k in zip(z, basis) if art[k]), \
+        "an artificial is basic at a nonzero level"
+    y = _exact_solve(basic, [Fraction(cost[k]) for k in basis])
+    for k in np.flatnonzero(~art):
+        reduced = Fraction(cost[k]) - sum(
+            (y[i] * v for i, v in col(int(k)).items()), Fraction(0))
+        assert reduced >= 0, f"column {k} has reduced cost {reduced}"
+    shift = sum((Fraction(lp.objective[j]) * Fraction(const)
+                 for j, (const, _) in enumerate(maps)), Fraction(0))
+    return sum((Fraction(cost[k]) * v for v, k in zip(z, basis)),
+               Fraction(0)) + shift
 
 
 def project(tree: ScenarioTree, node_id: str, t: int) -> str:

@@ -296,7 +296,8 @@ def test_strict_oracle_accepts_a_hair_above_the_edge(tmp_path, values, q,
 
 def test_inverted_benders_bracket_exits_5(tmp_path, capsys):
     # Benders' theta floor cuts off costs-to-go near -3e9: the solve is a
-    # numerical breakdown, while the oracle falls back to the root LP
+    # numerical breakdown, while the oracle, which solves the restricted
+    # root LP alone, is unaffected
     inst = write_instance(tmp_path, steep_link_tree(1e9))
     out = str(tmp_path / "out.json")
     for solver in ("benders", "both"):

@@ -13,7 +13,7 @@ from drotree.oracle import (PATHS, REALIZATIONS, RemovalSet, assess_paths,
                             assess_realizations)
 from drotree.solver import build_extensive, solve_benders, solve_extensive
 
-from helpers import duality_report
+from helpers import duality_report, exact_lp_certificate
 
 
 def test_trivial_binding_row():
@@ -235,7 +235,8 @@ def test_no_rows_box_minimum():
 
 def test_water_root_lp_pinned(monkeypatch):
     """The extensive LP of the water analog: its shape, the digits of its
-    optimum and the pivots each simplex phase takes."""
+    optimum and the pivots each simplex phase takes. The final basis is
+    exactly optimal, and the printed optimum is the exact one rounded."""
     lp, _ = build_extensive(gen_water_analog(0, gamma=0.95))
     assert (len(lp.rows), lp.n_vars) == (508, 382)
     phases = []   # [objective row, pivots]: each phase prices a new row
@@ -250,8 +251,34 @@ def test_water_root_lp_pinned(monkeypatch):
     monkeypatch.setattr(lpmod, "_pivot", counting)
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
-    assert format(sol.objective_value, ".17g") == "66.565252386000012"
-    assert [n for _, n in phases] == [354, 92]
+    assert format(sol.objective_value, ".17g") == "66.565252385999997"
+    assert sol.objective_value == float(exact_lp_certificate(lp, sol))
+    assert [n for _, n in phases] == [227, 5]
+
+
+@pytest.mark.parametrize("spec", [(7, 3, 2), (3, 3, 3), (5, 4, 2),
+                                  (11, 3, 4), (21, 2, 4)])
+def test_random_root_lps_exactly_optimal(spec):
+    # the random instances of scripts/cli_bytes.py (gen --random seed,T,b)
+    seed, t, branching = spec
+    lp, _ = build_extensive(gen_random(seed=seed, T=t, branching=branching))
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    exact = exact_lp_certificate(lp, sol)
+    # the float objective c'x rounds each term: within a few ulps
+    assert abs(sol.objective_value - float(exact)) <= 1e-14 * abs(exact)
+
+
+def test_exact_certificate_rejects_a_wrong_basis():
+    lp, _ = build_extensive(gen_random(seed=7, T=3, branching=2))
+    sol = solve_lp(lp)
+    outside = [k for k in range(len(sol.basis) + lp.n_vars)
+               if k not in sol.basis]
+    for pos, k in enumerate(outside[:4]):
+        sol.basis[pos], k = k, sol.basis[pos]
+        with pytest.raises(AssertionError):
+            exact_lp_certificate(lp, sol)
+        sol.basis[pos] = k
 
 
 def test_cplex_lp_dump_roundtrip_text():
@@ -340,9 +367,11 @@ def test_restricted_pivot_update_is_bit_identical(monkeypatch):
 
 
 def test_sparse_gate_takes_only_root_lps(monkeypatch):
-    """On water the extensive root LP is above the gate, while every other
-    LP (policy extraction, Benders, an oracle assessment) is below it, so
-    the small LPs keep the dense update."""
+    """On water the extensive root LPs are above the gate: the solve's,
+    and the restricted ones that decide a path assessment and a
+    realization assessment at the root. Every other LP (policy
+    extraction, Benders) is below it, so the small LPs keep the dense
+    update."""
     sizes = []
     tableau = lpmod._tableau
 
@@ -358,8 +387,10 @@ def test_sparse_gate_takes_only_root_lps(monkeypatch):
     assert sizes[0] >= gate and max(sizes[1:]) < gate
     sizes.clear()
     solve_benders(tree)
-    leaf = tree.leaves()[0]
-    assess_paths(tree, RemovalSet(PATHS, frozenset({leaf})), outcome)
-    assess_realizations(tree, RemovalSet(REALIZATIONS, frozenset({leaf})),
-                        outcome)
     assert sizes and max(sizes) < gate
+    sizes.clear()
+    leaf, child = tree.leaves()[0], tree.stage_nodes(2)[0]
+    assess_paths(tree, RemovalSet(PATHS, frozenset({leaf})), outcome)
+    assess_realizations(tree, RemovalSet(REALIZATIONS, frozenset({child})),
+                        outcome)
+    assert len(sizes) == 2 and min(sizes) >= gate

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from drotree.effectiveness import (
     classify_tree,
 )
 from drotree.errors import (
-    InstanceInfeasible,
     InvalidRemoval,
     NotSolved,
     NumericalBreakdown,
@@ -278,67 +276,26 @@ def test_assessment_json_shape():
     assert blob["verdict"] == EFFECTIVE
 
 
-def _spy(monkeypatch, name):
-    """Count calls of one name the oracle module uses."""
-    calls = []
-    real = getattr(oracle, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, name, wrapper)
-    return calls
-
-
-def test_benders_decides_without_an_extensive_lp(monkeypatch):
+def test_assessments_are_the_restricted_root_lp_bit_for_bit():
     tree = with_uniform_gamma(gen_random(seed=11, T=3, branching=3), 0.4)
     out = solve_extensive(tree)
     leaf = tree.leaves()[0]
-    node = tree.stage_nodes(3)[0]
-    parent = tree.parent(node)
-    want = {
-        "path": solve_lp(build_extensive(
-            tree, removals={tree.parent(leaf): {leaf}})[0]).objective_value,
-        "cond": solve_lp(build_extensive(
+    for node in (tree.stage_nodes(2)[0], tree.stage_nodes(3)[0]):
+        parent = tree.parent(node)
+        grand = tree.parent(parent)
+        want = solve_lp(build_extensive(
             tree, removals={parent: {node}}, root=parent,
-            fixed_incoming=out.policy[tree.parent(parent)])[0]
-        ).objective_value,
-    }
-    builds = _spy(monkeypatch, "build_extensive")
-    got = {"path": assess_paths(tree, paths(leaf), out),
-           "cond": assess_realizations(tree, reals(node), out)[parent]}
-    assert builds == []
-    for key, res in got.items():
-        assert res.value == pytest.approx(want[key], rel=1e-9)
-        assert (res.verdict, res.borderline) == _verdict(
-            want[key], res.baseline)[1:]
-
-
-@pytest.mark.parametrize("undecided", ["straddles", "not_converged",
-                                       "infeasible"])
-def test_root_lp_decides_when_benders_cannot(monkeypatch, undecided):
-    # worked example: the restricted optimum is 16/6 against 17/6
-    tree = leaf_value_tree([1.0, 2.0, 3.0], gamma=0.5)
-    out = solve_extensive(tree)
-
-    def fake_benders(*args, **kwargs):
-        ben = solve_benders(*args, **kwargs)
-        if undecided == "straddles":
-            # bracket [value, baseline]: Effective at one end only
-            return dataclasses.replace(ben, objective=out.objective, gap=0.0)
-        if undecided == "not_converged":
-            return dataclasses.replace(ben, gap=1.0)
-        raise InstanceInfeasible("benders gave up")
-
-    monkeypatch.setattr(oracle, "solve_benders", fake_benders)
-    builds = _spy(monkeypatch, "build_extensive")
-    r = assess_paths(tree, paths("l1"), out)
-    cond = assess_realizations(tree, reals("l1"), out)["r"]
-    assert len(builds) == 2
-    for res in (r, cond):
-        assert res.value == pytest.approx(16 / 6, abs=1e-12)
-        assert res.verdict == EFFECTIVE and not res.infeasible
+            fixed_incoming=None if grand is None else out.policy[grand])[0])
+        got = assess_realizations(tree, reals(node), out)[parent]
+        assert got.value == want.objective_value
+        assert (got.verdict, got.borderline) == _verdict(
+            want.objective_value, got.baseline)[1:]
+    want = solve_lp(build_extensive(
+        tree, removals={tree.parent(leaf): {leaf}})[0])
+    got = assess_paths(tree, paths(leaf), out)
+    assert got.value == want.objective_value
+    assert (got.verdict, got.borderline) == _verdict(
+        want.objective_value, got.baseline)[1:]
 
 
 def test_check_labels_records_each_identified_label():

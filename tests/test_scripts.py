@@ -42,3 +42,64 @@ def test_cli_bytes_fingerprints_output_and_files(tmp_path, monkeypatch):
     inst = hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest()
     assert line == (f"0 {empty} {empty} r.json={inst} "
                     "gen --random 7,3,2 --out r.json")
+
+
+def test_cli_bytes_keeps_each_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    load_script("cli_bytes").fingerprint(
+        ["gen", "--random", "7,3,2", "--out", "r.json"], ("r.json",),
+        keep=tmp_path / "kept" / "000")
+    kept = tmp_path / "kept" / "000"
+    assert (kept / "argv").read_text() == "gen --random 7,3,2 --out r.json\n"
+    assert (kept / "code").read_text() == "0\n"
+    assert (kept / "stdout").read_bytes() == (kept / "stderr").read_bytes() \
+        == b""
+    assert (kept / "files" / "r.json").read_bytes() == \
+        (tmp_path / "r.json").read_bytes()
+
+
+def _kept(root, k, argv, stdout, files=None):
+    """One command's directory in the layout of cli_bytes.py --keep."""
+    cmd = root / f"{k:03d}"
+    (cmd / "files").mkdir(parents=True)
+    (cmd / "argv").write_text(argv + "\n")
+    (cmd / "code").write_text("0\n")
+    (cmd / "stdout").write_text(stdout)
+    (cmd / "stderr").write_text("")
+    for name, text in (files or {}).items():
+        (cmd / "files" / name).write_text(text)
+
+
+def test_cli_diff_tells_digits_from_content(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, value, verdict in ((old, "66.565252386000012", "Effective"),
+                                 (new, "66.565252385999997", "Effective")):
+        _kept(root, 0, "gen --water 0 --out w.json", "",
+              {"w.json": '{"gamma": [0.95]}'})
+        _kept(root, 1, "solve w.json", f'{{"objective": {value}}}\n')
+        _kept(root, 2, "classify w.json --oracle",
+              f'{{"verdict": "{verdict}", "value": {value}}}\n')
+    diff = load_script("cli_diff")
+    assert diff.main([str(old), str(new)]) == 0
+    rows = {line.rsplit(None, 4)[0]: line.split()[-4:]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    # commands, identical, digits, content
+    assert rows["gen"] == ["1", "1", "0", "0"]
+    assert rows["solve"] == ["1", "0", "1", "0"]
+    assert rows["classify --oracle"] == ["1", "0", "1", "0"]
+    assert rows["total"] == ["3", "1", "2", "0"]
+
+    # a verdict, or a number beyond 1e-9 relative, is content: exit 1
+    _kept(tmp_path / "b", 0, "solve w.json", '{"objective": 66.5653}\n')
+    _kept(tmp_path / "c", 0, "solve w.json", '{"objective": 66.5652}\n')
+    (new / "002" / "stdout").write_text(
+        '{"verdict": "Ineffective", "value": 66.565252385999997}\n')
+    assert diff.main([str(old), str(new)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == (
+        "content: 002 classify w.json --oracle: stdout: "
+        """'{"verdict": "Effective", "value": ' -> """
+        """'{"verdict": "Ineffective", "value": '""")
+    assert diff.main([str(tmp_path / "b"), str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "'66.5653' -> '66.5652'")

@@ -19,6 +19,7 @@ from drotree.solver import (
     solve_extensive,
 )
 from drotree.tree import from_dict, with_uniform_gamma
+from drotree.tvrisk import FiniteDist, worst_case_expectation
 
 from helpers import (chain_tree, duality_report, leaf_value_tree,
                      minimal_dict, newsvendor_tree, path_probability,
@@ -337,6 +338,25 @@ def test_benders_inverted_bracket_is_a_breakdown():
     assert ext.objective == pytest.approx(-2e6)
     assert bend.objective == pytest.approx(ext.objective, rel=1e-9)
     assert 0.0 <= bend.gap <= 1e-6
+
+
+def test_near_tie_at_the_sup_converges_in_a_few_passes():
+    # two kept children 1e-9 apart at the sup: the worst case's maximizer
+    # must put the moved mass on the larger one, or the cuts weighted by
+    # it keep Benders' lower bound below the optimum for all its passes
+    values = [1e-9, 1.0, 2.0000000001, 3.0000000001, 3.000000001]
+    q = [0.1850859003233256, 0.1850859003233256, 0.13881442524249418,
+         0.1850859003233256, 0.30592787378752906]
+    gamma = 0.6940721262124709
+    tree = leaf_value_tree(values, q=q, gamma=gamma)
+    removals = {"r": {"l0"}}
+    ben = solve_benders(tree, tol=1e-10, removals=removals)
+    assert ben.passes <= 3 and ben.gap <= 1e-10
+    root = solve_lp(build_extensive(tree, removals=removals)[0])
+    assert ben.objective == pytest.approx(root.objective_value, rel=1e-12)
+    res = worst_case_expectation(
+        FiniteDist(np.array(values), np.array(q)), gamma, {0})
+    assert res.dist @ np.array(values) == pytest.approx(res.value, rel=1e-15)
 
 
 def test_monotone_in_gamma():

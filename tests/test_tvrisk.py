@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from drotree.lp import LinearProgram, solve_lp, OPTIMAL
 from drotree.tvrisk import (FiniteDist, psi, var_level, cvar,
@@ -237,6 +237,34 @@ def test_property_restricted_never_exceeds_unrestricted(d, gamma, data):
         assert all(res.dist[i] == 0.0 for i in removed)
         assert tv_distance(res.dist, d.probs) <= gamma + 1e-9
         assert res.dist @ d.values == pytest.approx(res.value, abs=1e-9)
+
+
+@st.composite
+def near_tied_dists(draw):
+    """A distribution with one to three children above its largest drawn
+    value by 1 to 9 times 1e-10 of its scale: near the sup, not at it."""
+    v = draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1,
+                      max_size=5))
+    top = max(v)
+    v += [top + k * 1e-10 * max(1.0, abs(top))
+          for k in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))]
+    w = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=len(v),
+                                 max_size=len(v))))
+    return FiniteDist(np.asarray(v), w / w.sum())
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_tied_dists(), st.floats(0, 1), st.data())
+def test_property_maximizer_attains_the_value_at_near_ties(d, gamma, data):
+    removed = data.draw(st.sets(st.integers(0, d.n - 1), max_size=d.n - 1))
+    assume(not removal_empties(d.probs, removed, gamma))
+    res = worst_case_expectation(d, gamma, removed)
+    scale = max(1.0, float(np.abs(d.values).max()))
+    assert abs(res.dist @ d.values - res.value) <= 1e-13 * scale
+    assert res.dist.min() >= 0.0
+    assert abs(res.dist.sum() - 1.0) <= 1e-12
+    assert tv_distance(res.dist, d.probs) <= gamma + 1e-9
+    assert all(res.dist[i] == 0.0 for i in removed)
 
 
 @settings(max_examples=80, deadline=None)
