@@ -15,7 +15,7 @@ output is byte-identical, so one diff of
 
     PYTHONPATH=src python3 scripts/cli_bytes.py > bytes.txt
 
-from each checks it. It takes about 20 seconds on a 2-vCPU host.
+from each checks it. It takes about 6 seconds on a 2-vCPU host.
 
 With --keep DIR it also saves what each command produced, in DIR/NNN/
 (NNN its line number from 000): `argv` (the command), `code`, `stdout`,

@@ -12,15 +12,20 @@ being a number or a run of other text. Two numbers that differ by at most
 command is a "content" difference. Prints, per command kind (gen, solve,
 classify, classify --oracle, sweep, assess), how many commands are
 identical, differ in digits only, and differ in content, then one line per
-content difference. Exits 1 when any command differs in content.
+content difference, naming its first differing token pair (at most
+EXCERPT characters on each side of where they part). Exits 1 when any
+command differs in content.
 """
 import argparse
+import os
 import pathlib
 import re
 import sys
 from collections import Counter
+from itertools import zip_longest
 
 REL_DIGITS = 1e-9
+EXCERPT = 40   # characters shown on each side of a content difference
 KINDS = ("gen", "solve", "classify", "classify --oracle", "sweep", "assess")
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
@@ -30,21 +35,29 @@ def tokens(text: str) -> list[str]:
     return _NUMBER.split(text)
 
 
+def _excerpt(token: str, at: int) -> str:
+    """token cut to EXCERPT characters on each side of index `at`."""
+    lo, hi = max(0, at - EXCERPT), at + EXCERPT
+    return (("..." if lo else "") + token[lo:hi]
+            + ("..." if hi < len(token) else ""))
+
+
 def compare_text(old: str, new: str):
     """None when equal, "digits" when only numbers moved within
-    REL_DIGITS, else the first differing (old, new) token pair."""
-    a, b = tokens(old), tokens(new)
-    if len(a) != len(b):
-        return (old, new)
+    REL_DIGITS, else the first differing (old, new) token pair, each cut
+    to an excerpt around the first character where they differ. A text
+    that runs out of tokens first reads as an empty token there."""
     digits = False
-    for k, (x, y) in enumerate(zip(a, b)):
+    for k, (x, y) in enumerate(zip_longest(tokens(old), tokens(new),
+                                           fillvalue="")):
         if x == y:
             continue
-        if k % 2 and abs(float(y) - float(x)) <= \
+        if k % 2 and x and y and abs(float(y) - float(x)) <= \
                 REL_DIGITS * max(1.0, abs(float(x))):
             digits = True
             continue
-        return (x, y)
+        at = len(os.path.commonprefix([x, y]))
+        return _excerpt(x, at), _excerpt(y, at)
     return "digits" if digits else None
 
 

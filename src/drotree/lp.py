@@ -9,11 +9,11 @@ rows included, then runs the same two phases from the slack/artificial
 basis: a row that is <= once its rhs is made nonnegative starts on its
 slack, every other row on an artificial. So a >= row with rhs 0 is
 negated into a <= row and starts on its slack (a slack crash, Bixby
-1992); in the extensive LP those are the epigraph and risk rows. Phase 1
-minimizes the artificial mass, phase 2 the original cost with the
-artificials locked out. Deterministic: Dantzig pricing with
-lowest-index tie breaks for the first 10*(rows+cols) pivots, then Bland's
-rule, which cannot cycle.
+1992); in the extensive LP those are the risk rows. Phase 1 minimizes
+the artificial mass, phase 2 the original cost with the artificials
+locked out. Deterministic: Dantzig pricing with lowest-index tie breaks
+for the first 10*(rows+cols) pivots, then Bland's rule, which cannot
+cycle.
 
 The tableau is a dense array. On a tableau of at least SPARSE_MIN_CELLS
 cells, a pivot updates only the rows with a nonzero in the pivot column
@@ -306,10 +306,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                       row_duals(cost, obj), basis=list(basis))
 
 
-def write_cplex_lp(lp: LinearProgram, names: list[str] | None = None) -> str:
-    """Render the LP in CPLEX LP text format (debugging aid)."""
-    if names is None:
-        names = [f"x{j}" for j in range(lp.n_vars)]
+def write_cplex_lp(lp: LinearProgram) -> str:
+    """Render the LP in CPLEX LP text format (debugging aid), variable j
+    named xj."""
+    names = [f"x{j}" for j in range(lp.n_vars)]
 
     def linear(pairs):
         out = []

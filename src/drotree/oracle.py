@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .effectiveness import EFFECTIVE, INEFFECTIVE, UNIDENTIFIED, eff_tolerance
 from .errors import InstanceInfeasible, InvalidRemoval, NotSolved, NumericalBreakdown
-from .solver import SolveOutcome, _solve_or_raise, build_extensive, check_removals
+from .solver import SolveOutcome, _solve_or_raise, build_extensive
 from .tree import ScenarioTree
 
 # decreases between eff_tolerance and this multiple of it are flagged
@@ -87,7 +87,6 @@ def _assess(tree: ScenarioTree, removals, baseline: float,
     tree when None, else with the parent decision fixed at `incoming`)
     with `removals` applied, judged against `baseline`."""
     try:
-        removals = check_removals(tree, removals)
         value = _restricted_value(tree, removals, node, incoming)
     except InstanceInfeasible:
         return AssessmentResult(node, math.inf, baseline, EFFECTIVE,

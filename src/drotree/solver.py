@@ -28,11 +28,9 @@ POLICY_FEAS_TOL = 1e-7
 
 @dataclass(frozen=True)
 class VarMap:
-    """Indices of the per-node blocks inside an extensive LP."""
+    """Columns of each node's decision block inside an extensive LP."""
 
     x: dict[str, list[int]]
-    theta: dict[str, int]
-    n_vars: int
 
 
 @dataclass
@@ -81,22 +79,37 @@ def _subtree_root(tree: ScenarioTree, root, fixed_incoming) -> str:
     return root_id
 
 
+def _stage_rows(nlp, x, parent_x=None, incoming=None):
+    """One node's template rows as (coefs, sense, rhs), its variable j at
+    column x[j]. A link to the parent decision goes to the parent's
+    columns parent_x when given, else moves into the rhs at the fixed
+    parent decision `incoming`."""
+    for self_c, link_c, sense, rhs in nlp.rows:
+        coefs = {x[j]: a for j, a in self_c.items() if a != 0.0}
+        for j, a in link_c.items():
+            if parent_x is None:
+                rhs -= a * float(incoming[j])
+            elif a != 0.0:
+                coefs[parent_x[j]] = coefs.get(parent_x[j], 0.0) + a
+        yield coefs, sense, rhs
+
+
 def build_extensive(tree: ScenarioTree, removals=None, root=None,
                     fixed_incoming=None):
     """Extensive epigraph LP for the (sub)tree hanging at `root`.
 
-    Per node one decision block x and one value variable theta. At an
-    internal node the risk rows encode
+    Per node one decision block x, and its value as an expression over
+    the columns: v = c'x at a leaf, and at an internal node
 
-        theta >= c'x + gamma*u + (1-gamma)*eta + sum_c q_c * s_c,
-        u >= theta_c,   s_c >= theta_c - eta,  s_c >= 0,
+        v = c'x + gamma*u + (1-gamma)*eta + sum_c q_c * s_c,
+        u >= v_c,   s_c >= v_c - eta,  s_c >= 0,
 
     whose minimum over (u, eta, s) is the worst-case expected child value
-    gamma*sup + (1-gamma)*cvar_gamma. At a node with removed children the
-    rows u >= theta_c and s_c >= theta_c - eta of the removed c are left
-    out and the weights q_c stay: the minimum is then the restricted
-    worst case of tvrisk.worst_case_expectation. Returns
-    (LinearProgram, VarMap).
+    gamma*sup + (1-gamma)*cvar_gamma. The objective is the root's v. At a
+    node with removed children the rows u >= v_c and s_c >= v_c - eta
+    and the column s_c of the removed c are left out and the weights q_c
+    of the others stay: the minimum is then the restricted worst case of
+    tvrisk.worst_case_expectation. Returns (LinearProgram, VarMap).
     """
     removals = check_removals(tree, removals)
     root_id = _subtree_root(tree, root, fixed_incoming)
@@ -111,69 +124,50 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
         return len(lo) - 1
 
     xs: dict[str, list[int]] = {}
-    thetas: dict[str, int] = {}
+    value: dict[str, dict[int, float]] = {}
     for nid in ids:
         nlp = tree.node_lp(nid)
         xs[nid] = [new_var(float(nlp.lower[j]), float(nlp.upper[j]))
                    for j in range(nlp.n_vars)]
-        thetas[nid] = new_var(-math.inf, math.inf)
+        value[nid] = {xs[nid][j]: float(cj)
+                      for j, cj in enumerate(nlp.cost) if cj != 0.0}
 
-    rows: list[tuple[dict, str, float]] = []
+    risk: dict[str, list] = {}   # per node: (coefs without -v_c, child c)
     for nid in ids:
-        nlp = tree.node_lp(nid)
-        x = xs[nid]
-        par = tree.parent(nid)
-        for self_c, link_c, sense, rhs in nlp.rows:
-            coefs = {x[j]: a for j, a in self_c.items() if a != 0.0}
-            r = rhs
-            if link_c:
-                if nid == root_id:
-                    for j, a in link_c.items():
-                        r -= a * float(fixed_incoming[j])
-                else:
-                    px = xs[par]
-                    for j, a in link_c.items():
-                        if a != 0.0:
-                            coefs[px[j]] = coefs.get(px[j], 0.0) + a
-            rows.append((coefs, sense, r))
-
-        value_row = {thetas[nid]: 1.0}
-        for j, cj in enumerate(nlp.cost):
-            if cj != 0.0:
-                value_row[x[j]] = value_row.get(x[j], 0.0) - float(cj)
         kids = tree.children(nid)
         if not kids:
-            rows.append((value_row, ">=", 0.0))
             continue
         g = tree.gamma_for_children_of(nid)
-        q = tree.q_children(nid)
         kept = [c for c in kids if c not in removals.get(nid, ())]
-        u = eta = None
-        svars = {}
+        risk[nid] = []
         if g > 0.0:
             u = new_var(-math.inf, math.inf)
-            value_row[u] = -g
+            value[nid][u] = g
+            risk[nid] += [({u: 1.0}, c) for c in kept]
         if g < 1.0:
             eta = new_var(-math.inf, math.inf)
-            value_row[eta] = -(1.0 - g)
-            for c, qc in zip(kids, q):
+            value[nid][eta] = 1.0 - g
+            for c, qc in zip(kids, tree.q_children(nid)):
                 if qc != 0.0 and c in kept:
-                    svars[c] = new_var(0.0, math.inf)
-                    value_row[svars[c]] = -qc
-        rows.append((value_row, ">=", 0.0))
-        if u is not None:
-            for c in kept:
-                rows.append(({u: 1.0, thetas[c]: -1.0}, ">=", 0.0))
-        for c, s in svars.items():
-            rows.append(({s: 1.0, eta: 1.0, thetas[c]: -1.0}, ">=", 0.0))
+                    s = new_var(0.0, math.inf)
+                    value[nid][s] = qc
+                    risk[nid].append(({s: 1.0, eta: 1.0}, c))
 
     objective = np.zeros(len(lo))
-    objective[thetas[root_id]] = 1.0
+    for k, a in value[root_id].items():
+        objective[k] = a
     lp = LinearProgram(len(lo), objective, lower=np.array(lo),
                        upper=np.array(hi))
-    for coefs, sense, rhs in rows:
-        lp.add_row(coefs, sense, rhs)
-    return lp, VarMap(xs, thetas, len(lo))
+    for nid in ids:
+        par = None if nid == root_id else xs[tree.parent(nid)]
+        for coefs, sense, rhs in _stage_rows(tree.node_lp(nid), xs[nid],
+                                             par, fixed_incoming):
+            lp.add_row(coefs, sense, rhs)
+        for coefs, c in risk.get(nid, ()):
+            for k, a in value[c].items():
+                coefs[k] = coefs.get(k, 0.0) - a
+            lp.add_row(coefs, ">=", 0.0)
+    return lp, VarMap(xs)
 
 
 def _risk_of_children(tree, nid, child_values, removals):
@@ -282,8 +276,9 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
     zero worst-case weight feel no pressure, so the raw LP point is not
     trusted as a policy. Instead decisions are extracted top-down: each
     node's block is re-solved on its own subtree with the parent decision
-    fixed, which forces the recursion to hold at every node. q_values are
-    then recomputed bottom-up at that policy rather than read off theta.
+    fixed, which forces the recursion to hold at every node. The LP holds
+    node values only as expressions, so q_values are computed bottom-up
+    at that policy.
     """
     lp, vm = build_extensive(tree)
     sol = _solve_or_raise(lp, "instance")
@@ -336,12 +331,9 @@ class _BendersNode:
             [nlp.lower, np.full(extra, self.theta_floor)])
         upper = np.concatenate([nlp.upper, np.full(extra, math.inf)])
         lp = LinearProgram(n + extra, objective, lower=lower, upper=upper)
-        for self_c, link_c, sense, rhs in nlp.rows:
-            r = rhs
-            for j, a in link_c.items():
-                r -= a * float(incoming[j])
-            lp.add_row({j: a for j, a in self_c.items() if a != 0.0},
-                       sense, r)
+        for coefs, sense, rhs in _stage_rows(nlp, range(n),
+                                             incoming=incoming):
+            lp.add_row(coefs, sense, rhs)
         for beta, alpha in self.opt_cuts:
             coefs = {n: 1.0}
             for j, b in enumerate(beta):

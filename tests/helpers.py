@@ -12,7 +12,7 @@ from drotree.lp import LinearProgram, LpSolution, _tableau
 from drotree.oracle import PATHS, RemovalSet, assess_paths
 from drotree.solver import SolveOutcome, _evaluate, solve_extensive
 from drotree.tree import ScenarioTree, from_dict
-from drotree.tvrisk import FiniteDist, _eq_tol, worst_case_expectation
+from drotree.tvrisk import FiniteDist, worst_case_expectation
 
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
@@ -168,21 +168,19 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 def worst_case_is_unique(dist: FiniteDist, gamma: float, removed=()) -> bool:
     """Whether the maximizer worst_case_expectation returns is the only
-    one. It is not when gamma > 0 and kept children tie at the sup (the
-    added mass could go to any of them), nor when a partially drained
-    child has a same-valued kept sibling with mass left, which could
-    have been drained instead."""
+    one. It is not when gamma > 0 and kept children tie exactly at the
+    sup (the added mass could go to any of them), nor when a partially
+    drained child has a kept sibling of exactly its value with mass left,
+    which could have been drained instead."""
     h, q = dist.values, dist.probs
     p = worst_case_expectation(dist, gamma, removed).dist
     kept = np.ones(dist.n, dtype=bool)
     kept[list(removed)] = False
-    sup = float(h[kept].max())
-    tol = _eq_tol(sup)
-    drainable = kept & (h < sup - tol)
+    drainable = kept & (h < h[kept].max())
     if gamma > 0.0 and int((kept & ~drainable).sum()) > 1:
         return False
     for i in np.flatnonzero(drainable & (p > 1e-15) & (q - p > 1e-15)):
-        if int((drainable & (np.abs(h - h[i]) <= tol) & (q > 0)).sum()) > 1:
+        if int((drainable & (h == h[i]) & (q > 0)).sum()) > 1:
             return False
     return True
 

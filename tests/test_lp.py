@@ -238,7 +238,7 @@ def test_water_root_lp_pinned(monkeypatch):
     optimum and the pivots each simplex phase takes. The final basis is
     exactly optimal, and the printed optimum is the exact one rounded."""
     lp, _ = build_extensive(gen_water_analog(0, gamma=0.95))
-    assert (len(lp.rows), lp.n_vars) == (508, 382)
+    assert (len(lp.rows), lp.n_vars) == (435, 309)
     phases = []   # [objective row, pivots]: each phase prices a new row
     pivot = lpmod._pivot
 
@@ -253,7 +253,7 @@ def test_water_root_lp_pinned(monkeypatch):
     assert sol.status == OPTIMAL
     assert format(sol.objective_value, ".17g") == "66.565252385999997"
     assert sol.objective_value == float(exact_lp_certificate(lp, sol))
-    assert [n for _, n in phases] == [227, 5]
+    assert [n for _, n in phases] == [154, 5]
 
 
 @pytest.mark.parametrize("spec", [(7, 3, 2), (3, 3, 3), (5, 4, 2),

@@ -103,3 +103,20 @@ def test_cli_diff_tells_digits_from_content(tmp_path, capsys):
     assert diff.main([str(tmp_path / "b"), str(tmp_path / "c")]) == 1
     assert capsys.readouterr().out.splitlines()[-1].endswith(
         "'66.5653' -> '66.5652'")
+
+    # a file that gains a row: the line names the first differing token
+    rows = [f" c{i}: 1 x{i} >= {i}\n" for i in range(3000)]
+    gained = rows[:1000] + [" c3000: 2 x7 <= 5\n"] + rows[1000:]
+    for root, lines in ((tmp_path / "d", rows), (tmp_path / "e", gained)):
+        _kept(root, 0, "solve w.json --dump-lp w.lp", "",
+              {"w.lp": "Subject To\n" + "".join(lines) + "End\n"})
+    assert diff.main([str(tmp_path / "d"), str(tmp_path / "e")]) == 1
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == ("content: 000 solve w.json --dump-lp w.lp: "
+                    "files/w.lp: '1000' -> '3000'")
+
+    # a long text token is cut around the character where the two part
+    assert diff.compare_text("a" * 5000 + "x" + "b" * 5000,
+                             "a" * 5000 + "y" + "b" * 5000) == (
+        "..." + "a" * 40 + "x" + "b" * 39 + "...",
+        "..." + "a" * 40 + "y" + "b" * 39 + "...")

@@ -139,6 +139,42 @@ def test_water_analog_cross_solver():
     assert max(vals, key=vals.get) == "LHD"
 
 
+def test_extensive_lp_has_two_risk_rows_per_child_and_no_value_columns():
+    """Rows: the template rows and two risk rows per non-root node.
+    Columns: the decisions, u and eta per internal node and one s per
+    child. Removing a leaf drops its two risk rows and its s column and
+    leaves every other row, bound and cost as it was."""
+    tree = gen_water_analog(0, gamma=0.95)
+    lp, vm = build_extensive(tree)
+    ids = [n.id for n in tree.nodes]
+    internal = [nid for nid in ids if tree.children(nid)]
+    assert len(lp.rows) == (sum(len(tree.node_lp(nid).rows) for nid in ids)
+                            + 2 * (len(ids) - 1))
+    assert lp.n_vars == (sum(len(vm.x[nid]) for nid in ids)
+                         + 2 * len(internal) + len(ids) - 1)
+
+    leaf = tree.leaves()[3]
+    cut, cut_vm = build_extensive(tree, removals={tree.parent(leaf): {leaf}})
+    assert cut_vm.x == vm.x
+    decisions = {k for x in vm.x.values() for k in x}
+    risk = [i for i, row in enumerate(lp.rows)
+            if set(row.coefs) & set(vm.x[leaf])
+            and not set(row.coefs) <= decisions]
+    assert len(risk) == 2
+    (s,) = [k for k in lp.rows[risk[1]].coefs
+            if lp.lower[k] == 0.0 and k not in vm.x[leaf]]
+
+    def shift(k):
+        return k - (k > s)
+
+    want = [({shift(k): a for k, a in row.coefs.items()}, row.sense, row.rhs)
+            for i, row in enumerate(lp.rows) if i not in risk]
+    assert [(row.coefs, row.sense, row.rhs) for row in cut.rows] == want
+    for field in ("objective", "lower", "upper"):
+        assert np.array_equal(getattr(cut, field),
+                              np.delete(getattr(lp, field), s))
+
+
 def test_each_node_lp_is_built_once_per_tree(monkeypatch):
     import drotree.tree as tree_module
 

@@ -76,6 +76,11 @@ def test_worked_worst_case_half():
     assert res.dist == pytest.approx([0.0, 1.0 / 6.0, 5.0 / 6.0], abs=1e-12)
     assert res.dist @ THIRDS.values == pytest.approx(res.value, abs=1e-9)
     assert tv_distance(res.dist, THIRDS.probs) <= 0.5 + 1e-12
+    # a child 1e-12 below the sup is not tied with it: the mass moves to
+    # the sup alone and the near-tied child is drained last
+    near = FiniteDist(np.array([0.0, 1.0, 1.0 + 1e-12]), np.full(3, 1 / 3))
+    assert worst_case_is_unique(THIRDS, 0.5)
+    assert worst_case_is_unique(near, 0.5)
 
 
 def test_worst_case_gamma_zero_is_mean():
