@@ -24,6 +24,23 @@ updates give the same numbers; at most the sign of a zero could differ.
 The gate keeps the many small LPs of the Benders and oracle paths on the
 dense update, which is faster for them.
 
+solve_lps solves a list of LPs and gives each the result solve_lp gives
+it, bit for bit. It writes every tableau with _tableau and stacks those
+under SPARSE_MIN_CELLS cells that share their shape and their artificial
+columns into one (k, rows, cols+1) array (the Benders node LPs and the
+extraction LPs of one tree level, Gurung & Ray 2019, "Simultaneous
+solving of batched linear programs on a GPU"). Both phases run on the
+stack in lock step: each step picks every active member's entering
+column and leaving row by the rules above and pivots those members with
+a lone pivot's arithmetic on every cell, touching no other member. All
+active members share one pivot count, so they turn to Bland's rule
+together; a member leaves the stack when its phase ends, and the
+drive-out of leftover artificials runs member by member. An LP whose
+tableau has at least SPARSE_MIN_CELLS cells, or whose shape no other LP
+of the call shares, is solved alone on the loop above, which can skip
+zero cells and pays no stacking cost. A NumericalBreakdown belongs to
+one LP: it is raised when that LP's result is taken, not before.
+
 Dual sign convention for a minimization: the dual of a >= row is nonnegative,
 the dual of a <= row is nonpositive, equality rows are free. Duals are the
 sensitivity of the optimal value to the row's rhs. Each row starts with a
@@ -36,7 +53,9 @@ Farkas vector of an infeasible LP.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +70,7 @@ BREAKDOWN_TOL = 1e-11   # chosen pivot below this aborts the solve
 FEAS_TOL = 1e-7         # phase-1 optimum above this means infeasible
 COST_TOL = 1e-9         # reduced-cost threshold for optimality
 SPARSE_MIN_CELLS = 20_000   # smallest tableau whose pivots skip zero cells
+MAX_PIVOTS = 200_000    # pivots per phase before the solve gives up
 
 _SENSES = ("<=", "=", ">=")
 
@@ -115,6 +135,18 @@ class LpSolution:
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
+class _Start(NamedTuple):
+    """An LP's starting tableau and what reading its results needs."""
+
+    tab: np.ndarray
+    basis: list[int]
+    cost: np.ndarray
+    art: np.ndarray
+    maps: list
+    row_sign: np.ndarray
+    n_user: int
+
+
 def _tableau(lp: LinearProgram):
     """The starting tableau of min c'y, A y (sense) b, y >= 0, in one pass.
 
@@ -129,8 +161,8 @@ def _tableau(lp: LinearProgram):
     inequality row, an artificial per row that is not <=, and the rhs.
     A <= row starts on its slack, every other row on its artificial.
 
-    Returns (tab, basis, cost, art, maps, row_sign, n_user): cost is the
-    original objective over all columns, art marks the artificials.
+    Returns a _Start: cost is the original objective over all columns,
+    art marks the artificials, basis holds each row's unit column.
     """
     lower, upper = lp.lower.tolist(), lp.upper.tolist()
     maps, c = [], []
@@ -183,13 +215,17 @@ def _tableau(lp: LinearProgram):
         tab[flipped, :n] *= -1.0
     cost = np.array(c + [0.0] * (artificial - n))
     art = np.arange(artificial) >= first_art
-    return tab, basis, cost, art, maps, np.array(row_sign), n_user
+    return _Start(tab, basis, cost, art, maps, np.array(row_sign), n_user)
+
+
+def _pivot_breakdown(piv) -> NumericalBreakdown:
+    return NumericalBreakdown(f"pivot magnitude {abs(piv):.3e}")
 
 
 def _pivot(tab, obj, basis, r, j):
     piv = tab[r, j]
     if abs(piv) < BREAKDOWN_TOL:
-        raise NumericalBreakdown(f"pivot magnitude {abs(piv):.3e}")
+        raise _pivot_breakdown(piv)
     pivrow = tab[r] / piv
     colvals = tab[:, j].copy()
     colvals[r] = 0.0
@@ -247,8 +283,86 @@ def _run_simplex(tab, obj, basis, allowed, bland_after):
         it += 1
         if it >= bland_after:
             bland = True
-        if it > 200000:
+        if it > MAX_PIVOTS:
             raise NumericalBreakdown("simplex iteration limit")
+
+
+def _run_stack(tab, obj, basis, allowed, bland_after) -> list:
+    """_run_simplex on each member of a (k, m, n+1) stack of tableaus,
+    returning each member's status, or the NumericalBreakdown that
+    _run_simplex would have raised. It pivots every active member in
+    lock step, by the same rules and with the same arithmetic on each
+    cell. A member that stops leaves the working stack, which is then a
+    copy of the others, and gets its rows back as they stood; so no cell
+    of a stopped member is touched, and every number and the sign of
+    every zero come out as they would alone. All members share one pivot
+    count, so they turn to Bland's rule together."""
+    k = len(tab)
+    out: list = [OPTIMAL] * k
+    if not allowed.any():
+        return out
+    at = np.arange(k)        # stack index of each active member
+    t, o, b = tab, obj, basis   # the active members' rows
+    ar = np.arange(k)
+    it = 0
+    while True:
+        red = o[:, :-1]
+        if it >= bland_after:
+            enter = (red < -COST_TOL) & allowed
+            j = enter.argmax(axis=1)
+            done = ~enter[ar, j]
+        else:
+            masked = np.where(allowed, red, 0.0)
+            j = masked.argmin(axis=1)
+            done = masked[ar, j] >= -COST_TOL
+        col = t[ar, :, j]
+        ok = col > PIVOT_TOL
+        stop = done | ~ok.any(axis=1)
+        n_stop = np.count_nonzero(stop)
+        if n_stop == at.size:   # also every member of an LP without rows
+            piv = weak = ~stop
+        else:
+            ratios = np.full(col.shape, math.inf)
+            np.divide(t[:, :, -1], col, out=ratios, where=ok)
+            rmin = ratios.min(axis=1, keepdims=True)
+            ties = ratios <= rmin + 1e-12 * (1.0 + np.abs(rmin))
+            # _choose_leaving's rule: the lowest basic index among the ties
+            r = np.where(ties, b, t.shape[2]).argmin(axis=1)
+            piv = t[ar, r, j]
+            weak = ~stop & (np.abs(piv) < BREAKDOWN_TOL)
+            stop |= weak
+            n_stop = np.count_nonzero(stop)
+        if n_stop:
+            for q, d, w, p in zip(at[stop], done[stop], weak[stop],
+                                  piv[stop]):
+                out[q] = (OPTIMAL if d else _pivot_breakdown(p) if w
+                          else UNBOUNDED)
+            if t is not tab:
+                tab[at[stop]], obj[at[stop]], basis[at[stop]] = \
+                    t[stop], o[stop], b[stop]
+            if n_stop == at.size:
+                return out
+            go = ~stop
+            at, t, o, b = at[go], t[go], o[go], b[go]
+            j, r, piv, col = j[go], r[go], piv[go], col[go]
+            ar = np.arange(at.size)
+        # _pivot's dense update, member by member in one array
+        pivrow = t[ar, r] / piv[:, None]
+        col[ar, r] = 0.0
+        t -= col[:, :, None] * pivrow[:, None, :]
+        t[ar, r] = pivrow
+        t[ar, :, j] = 0.0
+        t[ar, r, j] = 1.0
+        o -= o[ar, j][:, None] * pivrow
+        o[ar, j] = 0.0
+        b[ar, r] = j
+        it += 1
+        if it > MAX_PIVOTS:
+            for q in at:
+                out[q] = NumericalBreakdown("simplex iteration limit")
+            if t is not tab:
+                tab[at], obj[at], basis[at] = t, o, b
+            return out
 
 
 def _priced(tab, basis, c):
@@ -261,49 +375,177 @@ def _priced(tab, basis, c):
     return obj
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve the LP; see module docstring for conventions."""
-    tab, basis, cost, art, maps, row_sign, n_user = _tableau(lp)
-    m, ncols = tab.shape[0], tab.shape[1] - 1
-    bland_after = 10 * (m + ncols)
-    unit = list(basis)   # each row's starting unit column
-
-    def row_duals(c, obj):
-        # y_i = c_k - d_k at row i's unit column k, in the user's row signs
-        return (row_sign * (c[unit] - obj[unit]))[:n_user]
-
-    # phase 1: minimize the artificial mass
-    c1 = art.astype(float)
-    obj = _priced(tab, basis, c1)
-    status = _run_simplex(tab, obj, basis, np.ones(ncols, dtype=bool),
-                          bland_after)
-    phase1_val = -obj[-1]
-    if status != OPTIMAL or phase1_val > FEAS_TOL:
-        # phase-1 duals certify infeasibility
-        return LpSolution(INFEASIBLE, math.inf, None, None,
-                          farkas=row_duals(c1, obj),
-                          phase1_value=float(phase1_val))
-
-    # drive leftover artificials out of the basis where possible
+def _priced_stack(tab, basis, c):
+    """_priced per member of a stack, member q's costs c[q]. A basic
+    column of cost 0 is skipped by mask, not multiplied by 0, as
+    _priced skips it: 0 * x could flip the sign of a zero."""
+    k, m = basis.shape
+    obj = np.zeros((k, tab.shape[2]))
+    obj[:, :-1] = c
+    members = np.arange(k)
     for i in range(m):
+        cb = c[members, basis[:, i]]
+        nz = cb != 0.0
+        n_nz = np.count_nonzero(nz)
+        if n_nz == k:
+            obj -= cb[:, None] * tab[:, i]
+        elif n_nz:
+            obj[nz] -= cb[nz, None] * tab[nz, i]
+    return obj
+
+
+def _drive_out(tab, obj, basis, art):
+    """Pivot leftover artificials out of the basis where possible."""
+    for i in range(len(basis)):
         if art[basis[i]]:
             cand = np.flatnonzero((np.abs(tab[i, :-1]) > PIVOT_TOL) & ~art)
             if cand.size:
                 _pivot(tab, obj, basis, i, int(cand[0]))
 
-    # phase 2: original costs, artificial columns locked out
-    obj = _priced(tab, basis, cost)
-    if _run_simplex(tab, obj, basis, ~art, bland_after) == UNBOUNDED:
-        return LpSolution(UNBOUNDED, -math.inf, None, None)
 
-    y = np.zeros(ncols)
+def _row_duals(start, c, obj):
+    """y_i = c_k - d_k at row i's unit column k, in the user's row signs."""
+    unit = start.basis
+    return (start.row_sign * (c[unit] - obj[unit]))[:start.n_user]
+
+
+def _infeasible(start, obj) -> LpSolution:
+    """An LP whose phase 1 ended on obj: its phase-1 duals certify
+    infeasibility."""
+    return LpSolution(INFEASIBLE, math.inf, None, None,
+                      farkas=_row_duals(start, start.art.astype(float), obj),
+                      phase1_value=float(-obj[-1]))
+
+
+def _optimal(lp, start, tab, basis, obj) -> LpSolution:
+    y = np.zeros(tab.shape[1] - 1)
     y[basis] = tab[:, -1]
     x = np.zeros(lp.n_vars)
-    for j, (const, pairs) in enumerate(maps):
+    for j, (const, pairs) in enumerate(start.maps):
         k, s = pairs[0]
         x[j] = const + s * y[k] if len(pairs) == 1 else y[k] - y[k + 1]
     return LpSolution(OPTIMAL, float(lp.objective @ x), x,
-                      row_duals(cost, obj), basis=list(basis))
+                      _row_duals(start, start.cost, obj), basis=basis)
+
+
+def _phase1_failed(status, obj) -> bool:
+    """Phase 1 ended unbounded or above FEAS_TOL: the LP is infeasible."""
+    return status != OPTIMAL or -obj[-1] > FEAS_TOL
+
+
+def _solve_alone(lp, start) -> LpSolution:
+    """Both phases on one tableau, with _run_simplex."""
+    tab, basis, art = start.tab, list(start.basis), start.art
+    ncols = art.size
+    bland_after = 10 * (tab.shape[0] + ncols)
+
+    # phase 1: minimize the artificial mass
+    obj = _priced(tab, basis, art.astype(float))
+    status = _run_simplex(tab, obj, basis, np.ones(ncols, dtype=bool),
+                          bland_after)
+    if _phase1_failed(status, obj):
+        return _infeasible(start, obj)
+    _drive_out(tab, obj, basis, art)
+
+    # phase 2: original costs, artificial columns locked out
+    obj = _priced(tab, basis, start.cost)
+    if _run_simplex(tab, obj, basis, ~art, bland_after) == UNBOUNDED:
+        return LpSolution(UNBOUNDED, -math.inf, None, None)
+    return _optimal(lp, start, tab, basis, obj)
+
+
+def _solve_stack(lps, starts) -> list:
+    """_solve_alone on two or more LPs whose tableaus share their shape
+    and their artificial columns, stacked and run by _run_stack; one
+    LpSolution or NumericalBreakdown per LP."""
+    k = len(starts)
+    art = starts[0].art
+    ncols = art.size
+    bland_after = 10 * (starts[0].tab.shape[0] + ncols)
+    tab = np.array([s.tab for s in starts])
+    basis = np.array([s.basis for s in starts], dtype=np.intp)
+    out: list = [None] * k
+
+    # phase 1, then each member's drive-out
+    obj = _priced_stack(tab, basis, art[None].repeat(k, 0).astype(float))
+    status = _run_stack(tab, obj, basis, np.ones(ncols, dtype=bool),
+                        bland_after)
+    live = []
+    for q, st in enumerate(status):
+        if isinstance(st, NumericalBreakdown):
+            out[q] = st
+        elif _phase1_failed(st, obj[q]):
+            out[q] = _infeasible(starts[q], obj[q])
+        else:
+            try:
+                _drive_out(tab[q], obj[q], basis[q], art)
+                live.append(q)
+            except NumericalBreakdown as exc:
+                out[q] = exc
+    if not live:
+        return out
+    if len(live) < k:
+        tab, basis = tab[live], basis[live]
+
+    # phase 2 on the members that passed phase 1
+    obj = _priced_stack(tab, basis, np.array([starts[q].cost for q in live]))
+    status = _run_stack(tab, obj, basis, ~art, bland_after)
+    rows = basis.tolist()
+    for p, (q, st) in enumerate(zip(live, status)):
+        if isinstance(st, NumericalBreakdown):
+            out[q] = st
+        elif st == UNBOUNDED:
+            out[q] = LpSolution(UNBOUNDED, -math.inf, None, None)
+        else:
+            out[q] = _optimal(lps[q], starts[q], tab[p], rows[p], obj[p])
+    return out
+
+
+class LpResults(Sequence):
+    """solve_lps' results, in the order of its LPs. Taking the result of
+    an LP whose solve broke down raises that LP's NumericalBreakdown;
+    the other results stay usable."""
+
+    def __init__(self, items: list):
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i: int) -> LpSolution:
+        item = self._items[i]
+        if isinstance(item, NumericalBreakdown):
+            raise item
+        return item
+
+
+def solve_lps(lps) -> LpResults:
+    """Solve the LPs, each with the result solve_lp gives it, bit for bit;
+    see the module docstring for how they are batched."""
+    starts = [_tableau(lp) for lp in lps]
+    groups: dict = {}
+    for i, start in enumerate(starts):
+        key = (i if start.tab.size >= SPARSE_MIN_CELLS
+               else (start.tab.shape, start.art.tobytes()))
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * len(starts)
+    for members in groups.values():
+        if len(members) > 1:
+            sols = _solve_stack([lps[i] for i in members],
+                                [starts[i] for i in members])
+        else:
+            try:
+                sols = [_solve_alone(lps[members[0]], starts[members[0]])]
+            except NumericalBreakdown as exc:
+                sols = [exc]
+        for i, sol in zip(members, sols):
+            out[i] = sol
+    return LpResults(out)
+
+
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve the LP alone; see module docstring for conventions."""
+    return _solve_alone(lp, _tableau(lp))
 
 
 def write_cplex_lp(lp: LinearProgram) -> str:

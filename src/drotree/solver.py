@@ -19,7 +19,8 @@ from .errors import (
     InstanceUnbounded,
     NumericalBreakdown,
 )
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp,
+                 solve_lps)
 from .tree import ScenarioTree
 from .tvrisk import FiniteDist, removal_empties, worst_case_expectation
 
@@ -260,13 +261,16 @@ def evaluate_policy(tree: ScenarioTree, policy) -> dict[str, float]:
     q_values, _ = _evaluate(tree, policy)
     return q_values
 
-def _solve_or_raise(lp: LinearProgram, what: str):
-    sol = solve_lp(lp)
+def _checked(sol, what: str):
     if sol.status == INFEASIBLE:
         raise InstanceInfeasible(f"{what} is infeasible")
     if sol.status == UNBOUNDED:
         raise InstanceUnbounded(f"{what} is unbounded below")
     return sol
+
+
+def _solve_or_raise(lp: LinearProgram, what: str):
+    return _checked(solve_lp(lp), what)
 
 
 def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
@@ -276,9 +280,10 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
     zero worst-case weight feel no pressure, so the raw LP point is not
     trusted as a policy. Instead decisions are extracted top-down: each
     node's block is re-solved on its own subtree with the parent decision
-    fixed, which forces the recursion to hold at every node. The LP holds
-    node values only as expressions, so q_values are computed bottom-up
-    at that policy.
+    fixed, which forces the recursion to hold at every node. The subtree
+    LPs of one level go to one solve_lps call. The LP holds node values
+    only as expressions, so q_values are computed bottom-up at that
+    policy.
     """
     lp, vm = build_extensive(tree)
     sol = _solve_or_raise(lp, "instance")
@@ -287,10 +292,12 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
         root_id: np.array([sol.primal[j] for j in vm.x[root_id]])
     }
     for level in _levels(tree, root_id)[1:]:
-        for c in level:
-            sub_lp, sub_vm = build_extensive(
-                tree, root=c, fixed_incoming=policy[tree.parent(c)])
-            sub_sol = _solve_or_raise(sub_lp, f"subtree at {c!r}")
+        subs = [build_extensive(tree, root=c,
+                                fixed_incoming=policy[tree.parent(c)])
+                for c in level]
+        sols = solve_lps([sub_lp for sub_lp, _ in subs])
+        for c, (_, sub_vm), sub_sol in zip(level, subs, sols):
+            sub_sol = _checked(sub_sol, f"subtree at {c!r}")
             policy[c] = np.array([sub_sol.primal[j] for j in sub_vm.x[c]])
     _check_policy(tree, policy, root_id)
     q_values, worst = _evaluate(tree, policy)
@@ -345,9 +352,6 @@ class _BendersNode:
             lp.add_row(coefs, "<=", float(rhs))
         return lp
 
-    def solve(self, incoming):
-        return solve_lp(self.build(incoming))
-
     def link_gradient(self, row_duals, n_parent) -> np.ndarray:
         """d(value)/d(incoming), one entry per parent variable, from the
         duals on the template rows (the leading entries of row_duals; cut
@@ -370,7 +374,9 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     Each pass walks the tree forward solving every node LP under its
     current cut pool, evaluates the visited policy exactly for an upper
     bound, then walks backward re-solving children and adding one
-    aggregated optimality cut per node, with child values weighted by a
+    aggregated optimality cut per node. The forward walk solves one
+    level per solve_lps call, the backward walk the internal children of
+    one level per call. Child values are weighted by a
     worst-case distribution over the current approximations. Infeasible
     child solves yield feasibility cuts on the parent. Stops when
     (upper - lower) <= tol * max(1, |lower|) or after max_iter passes;
@@ -413,23 +419,29 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
         xvals: dict[str, np.ndarray] = {}
         fwd: dict[str, object] = {}
         cut_added = False
-        for nid in ids:
-            par = tree.parent(nid)
-            incoming = root_incoming if nid == root_id else xvals[par]
-            sol = work[nid].solve(incoming)
-            if sol.status == UNBOUNDED:
-                raise InstanceUnbounded(f"node {nid!r} subproblem unbounded")
-            if sol.status == INFEASIBLE:
-                if nid == root_id:
-                    raise InstanceInfeasible("root subproblem infeasible")
-                grad = work[nid].link_gradient(sol.farkas, incoming.size)
-                # w(y) >= w(y0) + grad'(y - y0) must be forced <= 0
-                rhs = float(grad @ incoming) - float(sol.phase1_value)
-                work[par].feas_cuts.append((grad, rhs))
-                cut_added = True
+        for level in levels:
+            incomings = [root_incoming if nid == root_id
+                         else xvals[tree.parent(nid)] for nid in level]
+            sols = solve_lps([work[nid].build(incoming)
+                              for nid, incoming in zip(level, incomings)])
+            # in file order: the first infeasible node cuts its parent
+            for nid, incoming, sol in zip(level, incomings, sols):
+                if sol.status == UNBOUNDED:
+                    raise InstanceUnbounded(
+                        f"node {nid!r} subproblem unbounded")
+                if sol.status == INFEASIBLE:
+                    if nid == root_id:
+                        raise InstanceInfeasible("root subproblem infeasible")
+                    grad = work[nid].link_gradient(sol.farkas, incoming.size)
+                    # w(y) >= w(y0) + grad'(y - y0) must be forced <= 0
+                    rhs = float(grad @ incoming) - float(sol.phase1_value)
+                    work[tree.parent(nid)].feas_cuts.append((grad, rhs))
+                    cut_added = True
+                    break
+                xvals[nid] = sol.primal[:work[nid].nlp.n_vars].copy()
+                fwd[nid] = sol
+            if cut_added:
                 break
-            xvals[nid] = sol.primal[:work[nid].nlp.n_vars].copy()
-            fwd[nid] = sol
         if cut_added:
             continue  # repeat the pass with the strengthened parent
 
@@ -450,6 +462,10 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
 
         # backward
         for level in reversed(levels[:-1]):
+            inner = iter(solve_lps([work[c].build(xvals[nid])
+                                    for nid in level
+                                    for c in tree.children(nid)
+                                    if not work[c].is_leaf]))
             for nid in level:
                 kids = tree.children(nid)
                 incoming = xvals[nid]
@@ -459,7 +475,7 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
                     if work[c].is_leaf:
                         csol = fwd[c]  # pool unchanged since forward
                     else:
-                        csol = work[c].solve(incoming)
+                        csol = next(inner)
                         if csol.status != OPTIMAL:
                             raise InstanceInfeasible(
                                 f"backward child {c!r} not optimal")

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from drotree import lp as lpmod
 import drotree.solver as solver_module
 from drotree.gen import gen_random, gen_water_analog
-from drotree.lp import (LinearProgram, solve_lp,
+from drotree.errors import NumericalBreakdown
+from drotree.lp import (LinearProgram, solve_lp, solve_lps,
                         OPTIMAL, INFEASIBLE, UNBOUNDED, write_cplex_lp)
 from drotree.oracle import (PATHS, REALIZATIONS, RemovalSet, assess_paths,
                             assess_realizations)
@@ -323,14 +324,15 @@ def _lp_corpus(monkeypatch):
     """The water root LP, the root LP and every Benders node LP of three
     random trees, and random feasible and infeasible LPs."""
     lps = [build_extensive(gen_water_analog(0, gamma=0.95))[0]]
-    solve = solver_module.solve_lp
     with monkeypatch.context() as mp:
-        mp.setattr(solver_module, "solve_lp",
-                   lambda lp: lps.append(lp) or solve(lp))
+        mp.setattr(solver_module, "solve_lps",
+                   lambda batch: lps.extend(batch) or solve_lps(batch))
         for seed, T, branching in ((3, 3, 3), (5, 4, 2), (11, 3, 4)):
             tree = gen_random(seed, T=T, branching=branching)
             lps.append(build_extensive(tree)[0])
             solve_benders(tree)
+    # Benders solves each of these node LPs once, batched or alone
+    assert len(lps) == 115
     rng = np.random.default_rng(17)
     lps += [_random_feasible_lp(rng) for _ in range(40)]
     lps += [_random_lp(rng, feasible=f) for f in (True, False) * 60]
@@ -342,7 +344,8 @@ def _bits(sol):
     def raw(v):
         return None if v is None else np.asarray(v, dtype=float).tobytes()
     return (sol.status, raw(sol.objective_value), raw(sol.primal),
-            raw(sol.duals), raw(sol.farkas), raw(sol.phase1_value))
+            raw(sol.duals), raw(sol.farkas), raw(sol.phase1_value),
+            sol.basis)
 
 
 def test_restricted_pivot_update_is_bit_identical(monkeypatch):
@@ -394,3 +397,76 @@ def test_sparse_gate_takes_only_root_lps(monkeypatch):
     assess_realizations(tree, RemovalSet(REALIZATIONS, frozenset({child})),
                         outcome)
     assert len(sizes) == 2 and min(sizes) >= gate
+
+
+def _same_solutions(batched, alone):
+    for i, (a, b) in enumerate(zip(batched, alone, strict=True)):
+        assert _bits(a) == _bits(b), f"LP {i}"
+        for field in ("primal", "duals", "farkas"):
+            x, y = getattr(a, field), getattr(b, field)
+            if x is not None:
+                assert np.array_equal(np.signbit(x), np.signbit(y)), i
+
+
+def test_solve_lps_is_bit_identical_to_one_at_a_time(monkeypatch):
+    """The corpus in one solve_lps call gives every LP the bits solve_lp
+    gives it alone. Its random LPs share shapes, so the stacked groups
+    mix optimal, infeasible and unbounded members."""
+    lps = _lp_corpus(monkeypatch)
+    groups = {}
+    for lp in lps:
+        start = lpmod._tableau(lp)
+        if start.tab.size < lpmod.SPARSE_MIN_CELLS:
+            groups.setdefault((start.tab.shape, start.art.tobytes()),
+                              []).append(lp)
+    stacked = [g for g in groups.values() if len(g) > 1]
+    statuses = [{solve_lp(lp).status for lp in g} for g in stacked]
+    assert sum(len(g) for g in stacked) > 150
+    assert sum(len(st) > 1 for st in statuses) >= 10
+    assert set().union(*statuses) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    _same_solutions(solve_lps(lps), [solve_lp(lp) for lp in lps])
+
+
+def test_solve_lps_drives_out_artificials_per_member(monkeypatch):
+    """x + y = 0 and -x - y = 0 leave both artificials basic at zero
+    after phase 1; each member drives the first one out with one pivot
+    of its own, then the stack runs phase 2."""
+    lps = []
+    for c, b in ((1.0, 1.0), (-1.0, 2.0), (0.5, 0.25), (2.0, 3.0)):
+        lp = LinearProgram(3, [c, 1.0, 1.0])
+        lp.add_row({0: 1.0, 1: 1.0}, "=", 0.0)
+        lp.add_row({0: -1.0, 1: -1.0}, "=", 0.0)
+        lp.add_row({2: 1.0}, ">=", b)
+        lps.append(lp)
+    pivots = []
+    pivot = lpmod._pivot
+    monkeypatch.setattr(
+        lpmod, "_pivot", lambda *a: pivots.append(a[3]) or pivot(*a))
+    batched = solve_lps(lps)
+    assert pivots == [0] * len(lps)   # lock-step pivots do not call _pivot
+    alone = [solve_lp(lp) for lp in lps]
+    assert [sol.objective_value for sol in alone] == [1.0, 2.0, 0.25, 3.0]
+    _same_solutions(batched, alone)
+
+
+def test_solve_lps_raises_a_breakdown_only_for_its_own_lp(monkeypatch):
+    """A breakdown is held with the LP it belongs to: in a stack (good,
+    broken) and alone (broken2), taking it raises, taking any other
+    result does not, and solve_lps itself does not raise."""
+    monkeypatch.setattr(lpmod, "BREAKDOWN_TOL", 10.0)
+    good, broken = LinearProgram(1, [1.0]), LinearProgram(1, [1.0])
+    good.add_row({0: 100.0}, ">=", 100.0)   # its only pivot is 100
+    broken.add_row({0: 1.0}, ">=", 1.0)     # its only pivot is 1
+    broken2 = LinearProgram(2, [1.0, 1.0])
+    broken2.add_row({0: 1.0, 1: 1.0}, ">=", 1.0)
+    results = solve_lps([broken, good, broken2])
+    assert len(results) == 3
+    assert results[1].status == OPTIMAL and results[1].objective_value == 1.0
+    assert _bits(results[1]) == _bits(solve_lp(good))
+    for i, lp in ((0, broken), (2, broken2)):
+        with pytest.raises(NumericalBreakdown, match="pivot magnitude"):
+            results[i]
+        with pytest.raises(NumericalBreakdown, match="pivot magnitude"):
+            solve_lp(lp)
+    with pytest.raises(NumericalBreakdown):
+        list(results)

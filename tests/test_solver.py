@@ -11,7 +11,7 @@ from drotree.errors import (
     NumericalBreakdown,
 )
 from drotree.gen import gen_random, gen_water_analog
-from drotree.lp import OPTIMAL, LinearProgram, solve_lp
+from drotree.lp import OPTIMAL, LinearProgram, solve_lp, solve_lps
 from drotree.solver import (
     build_extensive,
     evaluate_policy,
@@ -194,24 +194,26 @@ def test_each_node_lp_is_built_once_per_tree(monkeypatch):
     assert len(built) == 73
 
 
-@pytest.mark.parametrize("tree", [gen_water_analog(0, gamma=0.95),
-                                  gen_random(5, T=4, branching=2)],
+@pytest.mark.parametrize("tree, n_lps",
+                         [(gen_water_analog(0, gamma=0.95), 154),
+                          (gen_random(5, T=4, branching=2), 36)],
                          ids=["water", "random-5-4-2"])
-def test_benders_node_lp_duals_verify(tree, monkeypatch):
+def test_benders_node_lp_duals_verify(tree, n_lps, monkeypatch):
     # every optimal node LP's tableau duals close the duality gap
     import drotree.solver as solver_module
 
     solved = []
 
-    def recording(lp):
-        sol = solve_lp(lp)
-        if sol.status == OPTIMAL:
-            solved.append((lp, sol))
-        return sol
+    def recording(lps):
+        sols = solve_lps(lps)
+        solved.extend(zip(lps, sols))
+        return sols
 
-    monkeypatch.setattr(solver_module, "solve_lp", recording)
+    monkeypatch.setattr(solver_module, "solve_lps", recording)
     solve_benders(tree)
-    assert len(solved) > len(tree.nodes)
+    # as many as Benders solved one at a time, every one optimal
+    assert len(solved) == n_lps
+    assert all(sol.status == OPTIMAL for _, sol in solved)
     for lp, sol in solved:
         rep = duality_report(lp, sol)
         scale = max(1.0, abs(sol.objective_value))
@@ -322,10 +324,10 @@ def test_infeasible_and_unbounded_instances():
         solve_extensive(from_dict(d))
 
 
-def test_benders_feasibility_cuts():
+def _feascut_tree():
     # child requires x2 + x1 >= 2 with x2 capped at 0.5: no complete
     # recourse, so Benders must cut the root until x1 >= 1.5
-    tree = from_dict({
+    return from_dict({
         "name": "feascut",
         "stages": 2,
         "gamma": [0.5],
@@ -343,6 +345,10 @@ def test_benders_feasibility_cuts():
              "var_bounds": [[0.0, 0.5]]},
         ],
     })
+
+
+def test_benders_feasibility_cuts():
+    tree = _feascut_tree()
     ext = solve_extensive(tree)
     bend = solve_benders(tree, tol=1e-9)
     assert abs(ext.objective - 1.8) <= 1e-8
@@ -411,3 +417,39 @@ def test_extensive_objective_between_mean_and_minimax(seed, gamma):
     lo = solve_extensive(with_uniform_gamma(tree, 0.0)).objective
     hi = solve_extensive(with_uniform_gamma(tree, 1.0)).objective
     assert lo - 1e-8 <= value <= hi + 1e-8
+
+
+def _outcome_bits(out):
+    """Every SolveOutcome field, floats and arrays as their raw bytes."""
+    def raw(v):
+        return np.asarray(v, dtype=float).tobytes()
+    return (raw(out.objective),
+            {k: raw(v) for k, v in out.policy.items()},
+            {k: raw(v) for k, v in out.q_values.items()},
+            {k: raw(v) for k, v in out.worst_case.items()},
+            out.solver, out.passes, raw(out.lower), raw(out.gap))
+
+
+@pytest.mark.parametrize("tree", [
+    gen_water_analog(0, gamma=0.95), _feascut_tree(),
+    *(gen_random(seed, T=3, branching=3) for seed in (1, 4, 9)),
+    gen_random(5, T=4, branching=2),
+    gen_random(7, T=3, branching=2, n_vars=2, gamma=0.5)],
+    ids=lambda tree: tree.name)
+def test_solvers_batched_match_one_at_a_time(tree, monkeypatch):
+    """Both solvers give the same bits whether solve_lps stacks each
+    level's LPs or solves them one at a time. On the feasibility-cut
+    tree the forward walk meets an infeasible stage-2 node before the
+    last node of its level and must stop there, as the one-at-a-time
+    walk did."""
+    import drotree.solver as solver_module
+
+    runs = []
+    for one_at_a_time in (False, True):
+        with monkeypatch.context() as mp:
+            if one_at_a_time:
+                mp.setattr(solver_module, "solve_lps",
+                           lambda lps: [solve_lp(lp) for lp in lps])
+            runs.append([_outcome_bits(solve(tree)) for solve in
+                         (solve_benders, solve_extensive)])
+    assert runs[0] == runs[1]
