@@ -10,16 +10,18 @@ Python (infeasible assessments) are written as null next to an
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .effectiveness import (
     EFFECTIVE,
     INEFFECTIVE,
     UNIDENTIFIED,
-    ClassifierSettings,
     classification_report,
     classify_paths,
     classify_tree,
@@ -173,23 +175,17 @@ def _merge(parts):
     return [parts[i % n][i // n] for i in range(sum(map(len, parts)))]
 
 
-def _on_instance(payload):
-    fn, path, args = payload
-    return fn(load_instance(path), *args)
-
-
-def _map_items(fn, tree, path, args, items, jobs):
+def _map_items(fn, tree, args, items, jobs):
     """fn(tree, *args, items), which returns one entry per item. With
     more than one worker (at most jobs, the item count and the cpu
-    count), the items are dealt out to worker processes that each load
-    the instance from path and get args (such as the parent's solve)."""
+    count), the items are dealt out to worker processes, which each get
+    the parent's tree and args (such as the parent's solve)."""
     n = min(jobs, len(items), os.cpu_count() or 1)
     if n <= 1:
         return fn(tree, *args, items)
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return _merge(pool.map(_on_instance,
-                               [(fn, path, (*args, chunk))
-                                for chunk in _chunks(items, n)]))
+        return _merge(pool.map(functools.partial(fn, tree, *args),
+                               _chunks(items, n)))
 
 
 # ---------------------------------------------------------------- classify
@@ -197,10 +193,9 @@ def _map_items(fn, tree, path, args, items, jobs):
 def _cmd_classify(args) -> int:
     tree = load_instance(args.instance)
     out = solve_extensive(tree)
-    settings = ClassifierSettings(c2_mass_rule=args.c2_rule)
-    cond = classify_tree(tree, out, settings)
-    paths = classify_paths(tree, out, settings, cond)
-    rep = classification_report(tree, out, settings, cond, paths)
+    cond = classify_tree(tree, out, args.c2_rule)
+    paths = classify_paths(tree, out, args.c2_rule, cond)
+    rep = classification_report(tree, out, args.c2_rule, cond, paths)
 
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -208,7 +203,7 @@ def _cmd_classify(args) -> int:
 
     disagreements = 0
     if args.oracle:
-        records = _map_items(check_labels, tree, args.instance, (out,),
+        records = _map_items(check_labels, tree, (out,),
                              identified_labels(cond, paths),
                              _resolve_jobs(args.jobs))
         disagreements = sum(1 for r in records if not r["agree"])
@@ -305,8 +300,7 @@ def _sweep_rows(tree, gammas) -> list[str]:
 def _cmd_sweep(args) -> int:
     tree = load_instance(args.instance)
     grid = _parse_grid(args.gamma)
-    rows = _map_items(_sweep_rows, tree, args.instance, (), grid,
-                      _resolve_jobs(args.jobs))
+    rows = _map_items(_sweep_rows, tree, (), grid, _resolve_jobs(args.jobs))
     header = "gamma,objective,n_effective_paths,n_ineffective,n_unidentified"
     _emit("\n".join([header, *rows]) + "\n", args.out)
     return 0
@@ -433,7 +427,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or nan in the arithmetic is reported once, as the
+        # NumericalBreakdown the solvers raise, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InstanceInfeasible, InstanceUnbounded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INSTANCE_ERROR

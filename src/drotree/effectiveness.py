@@ -39,31 +39,6 @@ _DOT_STYLE = {
 
 
 @dataclass(frozen=True)
-class ClassifierSettings:
-    """Knobs for the borderline (at-quantile) cases.
-
-    c2_mass_rule picks which mass gets compared against gamma when a
-    child sits exactly at the quantile level:
-
-    * "c1_plus_c2" (default): compare the cumulative mass at or below
-      the quantile. This reading never contradicts the assessment
-      oracle.
-    * "c2_only": compare the mass of the at-quantile group itself, the
-      literal summary-table reading. It can mislabel the knife-edge
-      case where the at-quantile mass equals gamma exactly while
-      strictly-below children exist (see tests for the worked
-      counterexample), and it leaves singleton at-quantile children
-      unresolved whenever their own mass stays below gamma.
-    """
-
-    c2_mass_rule: str = "c1_plus_c2"
-
-    def __post_init__(self):
-        if self.c2_mass_rule not in ("c2_only", "c1_plus_c2"):
-            raise ValueError(f"unknown c2_mass_rule {self.c2_mass_rule!r}")
-
-
-@dataclass(frozen=True)
 class CondLabel:
     """Conditional label of one node, as a child of its parent."""
 
@@ -97,7 +72,7 @@ def classify_node_children(
     tree: ScenarioTree,
     outcome,
     node: str,
-    settings: ClassifierSettings | None = None,
+    c2_rule: str = "c1_plus_c2",
 ) -> list[CondLabel]:
     """Label every child of `node`, in file order.
 
@@ -113,8 +88,22 @@ def classify_node_children(
     The rules only apply when the radius is strictly inside (0, 1) and
     every child carries positive nominal mass; otherwise all children
     come back Unidentified and the oracle has to resolve them.
+
+    c2_rule picks which mass gets compared against gamma when a child
+    sits exactly at the quantile level:
+
+    * "c1_plus_c2" (default): compare the cumulative mass at or below
+      the quantile. This reading never contradicts the assessment
+      oracle.
+    * "c2_only": compare the mass of the at-quantile group itself, the
+      literal summary-table reading. It can mislabel the knife-edge
+      case where the at-quantile mass equals gamma exactly while
+      strictly-below children exist (see tests for the worked
+      counterexample), and it leaves singleton at-quantile children
+      unresolved whenever their own mass stays below gamma.
     """
-    settings = settings or ClassifierSettings()
+    if c2_rule not in ("c2_only", "c1_plus_c2"):
+        raise ValueError(f"unknown c2_rule {c2_rule!r}")
     gamma = tree.gamma_for_children_of(node)
     kids = tree.children(node)
     q = tree.q_children(node)
@@ -127,16 +116,16 @@ def classify_node_children(
 
     dist = FiniteDist(h, q)
     cats = categorize(dist, gamma)
-    c2_mass = sum(qi for qi, lab in zip(q, cats.labels) if lab == "C2")
-    if settings.c2_mass_rule == "c1_plus_c2":
-        c2_mass += sum(qi for qi, lab in zip(q, cats.labels) if lab == "C1")
-    n_c2 = cats.labels.count("C2")
-    n_c4 = cats.labels.count("C4")
+    c2_mass = sum(qi for qi, lab in zip(q, cats) if lab == "C2")
+    if c2_rule == "c1_plus_c2":
+        c2_mass += sum(qi for qi, lab in zip(q, cats) if lab == "C1")
+    n_c2 = cats.count("C2")
+    n_c4 = cats.count("C4")
     base = worst_case_expectation(dist, gamma).value
     eps = eff_tolerance(outcome.q_values.get(node, base))
 
     out = []
-    for idx, (c, lab) in enumerate(zip(kids, cats.labels)):
+    for idx, (c, lab) in enumerate(zip(kids, cats)):
         if lab == "C1":
             out.append(CondLabel(c, INEFFECTIVE, lab, "below-var"))
             continue
@@ -166,13 +155,13 @@ def classify_node_children(
 def classify_tree(
     tree: ScenarioTree,
     outcome,
-    settings: ClassifierSettings | None = None,
+    c2_rule: str = "c1_plus_c2",
 ) -> dict[str, CondLabel]:
     """Conditional labels for every node of stage >= 2, keyed by node id."""
     labels: dict[str, CondLabel] = {}
     for t in range(1, tree.T):
         for nid in tree.stage_nodes(t):
-            for cl in classify_node_children(tree, outcome, nid, settings):
+            for cl in classify_node_children(tree, outcome, nid, c2_rule):
                 labels[cl.node] = cl
     return labels
 
@@ -180,7 +169,7 @@ def classify_tree(
 def classify_paths(
     tree: ScenarioTree,
     outcome,
-    settings: ClassifierSettings | None = None,
+    c2_rule: str = "c1_plus_c2",
     cond: dict[str, CondLabel] | None = None,
 ) -> list[PathLabel]:
     """Per-leaf path labels: Effective when every along-path conditional
@@ -195,7 +184,7 @@ def classify_paths(
     arc combination rule is silent about this corner, and the re-solving
     oracle applies the same rule, so it is decided here too."""
     if cond is None:
-        cond = classify_tree(tree, outcome, settings)
+        cond = classify_tree(tree, outcome, c2_rule)
     out = []
     for leaf in tree.leaves():
         parent = tree.parent(leaf)
@@ -218,19 +207,18 @@ def classify_paths(
 def classification_report(
     tree: ScenarioTree,
     outcome,
-    settings: ClassifierSettings | None = None,
+    c2_rule: str = "c1_plus_c2",
     cond: dict[str, CondLabel] | None = None,
     paths: list[PathLabel] | None = None,
 ) -> dict:
     """JSON-ready report: solve header, per-node conditional labels,
     per-leaf path labels, and the label tallies. `cond` and `paths`, when
     given, are the labels classify_tree and classify_paths return under
-    the same settings."""
-    settings = settings or ClassifierSettings()
+    the same c2_rule."""
     if cond is None:
-        cond = classify_tree(tree, outcome, settings)
+        cond = classify_tree(tree, outcome, c2_rule)
     if paths is None:
-        paths = classify_paths(tree, outcome, settings, cond)
+        paths = classify_paths(tree, outcome, c2_rule, cond)
 
     nodes = []
     for nd in tree.nodes:
@@ -254,7 +242,7 @@ def classification_report(
         "instance": tree.name,
         "solver": outcome.solver,
         "objective": outcome.objective,
-        "c2_mass_rule": settings.c2_mass_rule,
+        "c2_mass_rule": c2_rule,
         "nodes": nodes,
         "leaves": leaves,
         "summary": {

@@ -13,7 +13,9 @@ negated into a <= row and starts on its slack (a slack crash, Bixby
 the artificial mass, phase 2 the original cost with the artificials
 locked out. Deterministic: Dantzig pricing with lowest-index tie breaks
 for the first 10*(rows+cols) pivots, then Bland's rule, which cannot
-cycle.
+cycle. A ratio test whose minimum eligible ratio is not finite (nan once
+an overflow has reached the tableau) raises NumericalBreakdown before
+the pivot's magnitude is checked.
 
 The tableau is a dense array. On a tableau of at least SPARSE_MIN_CELLS
 cells, a pivot updates only the rows with a nonzero in the pivot column
@@ -32,7 +34,8 @@ extraction LPs of one tree level, Gurung & Ray 2019, "Simultaneous
 solving of batched linear programs on a GPU"). Both phases run on the
 stack in lock step: each step picks every active member's entering
 column and leaving row by the rules above and pivots those members with
-a lone pivot's arithmetic on every cell, touching no other member. All
+a lone pivot's arithmetic on every cell, touching no other member, and
+each member breaks down on the same non-finite ratio or weak pivot. All
 active members share one pivot count, so they turn to Bland's rule
 together; a member leaves the stack when its phase ends, and the
 drive-out of leftover artificials runs member by member. An LP whose
@@ -222,6 +225,10 @@ def _pivot_breakdown(piv) -> NumericalBreakdown:
     return NumericalBreakdown(f"pivot magnitude {abs(piv):.3e}")
 
 
+def _ratio_breakdown(rmin) -> NumericalBreakdown:
+    return NumericalBreakdown(f"ratio test minimum {rmin:.3e}")
+
+
 def _pivot(tab, obj, basis, r, j):
     piv = tab[r, j]
     if abs(piv) < BREAKDOWN_TOL:
@@ -253,6 +260,8 @@ def _choose_leaving(tab, basis, j):
     ratios = np.full(len(basis), math.inf)
     ratios[ok] = tab[ok, -1] / col[ok]
     rmin = ratios.min()
+    if not math.isfinite(rmin):
+        raise _ratio_breakdown(rmin)
     ties = np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))
     # among minimal ratios take the row whose basic variable has the
     # lowest index: deterministic, and it is Bland's leaving rule
@@ -317,26 +326,29 @@ def _run_stack(tab, obj, basis, allowed, bland_after) -> list:
             done = masked[ar, j] >= -COST_TOL
         col = t[ar, :, j]
         ok = col > PIVOT_TOL
-        stop = done | ~ok.any(axis=1)
+        unbounded = ~ok.any(axis=1)
+        stop = done | unbounded
         n_stop = np.count_nonzero(stop)
         if n_stop == at.size:   # also every member of an LP without rows
-            piv = weak = ~stop
+            rmin = piv = np.zeros(at.size)
         else:
             ratios = np.full(col.shape, math.inf)
             np.divide(t[:, :, -1], col, out=ratios, where=ok)
-            rmin = ratios.min(axis=1, keepdims=True)
-            ties = ratios <= rmin + 1e-12 * (1.0 + np.abs(rmin))
+            rmin = ratios.min(axis=1)
+            ties = ratios <= (rmin + 1e-12 * (1.0 + np.abs(rmin)))[:, None]
             # _choose_leaving's rule: the lowest basic index among the ties
             r = np.where(ties, b, t.shape[2]).argmin(axis=1)
             piv = t[ar, r, j]
-            weak = ~stop & (np.abs(piv) < BREAKDOWN_TOL)
-            stop |= weak
+            stop |= ~np.isfinite(rmin) | (np.abs(piv) < BREAKDOWN_TOL)
             n_stop = np.count_nonzero(stop)
         if n_stop:
-            for q, d, w, p in zip(at[stop], done[stop], weak[stop],
-                                  piv[stop]):
-                out[q] = (OPTIMAL if d else _pivot_breakdown(p) if w
-                          else UNBOUNDED)
+            # _run_simplex's order: optimal, unbounded, then a breakdown
+            # in the ratio test before one in the pivot
+            for q, d, u, m, p in zip(at[stop], done[stop], unbounded[stop],
+                                     rmin[stop], piv[stop]):
+                out[q] = (OPTIMAL if d else UNBOUNDED if u
+                          else _ratio_breakdown(m) if not math.isfinite(m)
+                          else _pivot_breakdown(p))
             if t is not tab:
                 tab[at[stop]], obj[at[stop]], basis[at[stop]] = \
                     t[stop], o[stop], b[stop]

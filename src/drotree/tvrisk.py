@@ -63,13 +63,6 @@ class WorstCaseResult:
     dist: np.ndarray       # a maximizing distribution
 
 
-@dataclass(frozen=True)
-class PrimalCategories:
-    labels: list[str]      # one of C1..C4 per child
-    var_level: float
-    sup_level: float
-
-
 def psi(dist: FiniteDist, eta: float) -> float:
     """Nominal mass at or below eta (tolerance-aware comparison)."""
     tol = _eq_tol(float(dist.values.max()))
@@ -207,7 +200,7 @@ def worst_case_expectation_restricted(
     return worst_case_expectation(dist, gamma, removed)
 
 
-def categorize(dist: FiniteDist, gamma: float) -> PrimalCategories:
+def categorize(dist: FiniteDist, gamma: float) -> list[str]:
     """Bucket each child by where its value sits against VaR_gamma and the
     sup: C1 below VaR, C2 at VaR, C3 strictly between, C4 at the sup. When
     VaR equals the sup, C4 takes precedence."""
@@ -227,4 +220,4 @@ def categorize(dist: FiniteDist, gamma: float) -> PrimalCategories:
             labels.append("C1")
         else:
             labels.append("C3")
-    return PrimalCategories(labels, float(v), sup)
+    return labels

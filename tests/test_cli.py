@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import pickle
+import warnings
 
 import pytest
 
@@ -9,6 +10,7 @@ import drotree.cli as cli
 import drotree.effectiveness as effectiveness
 from drotree.cli import dump_json, format_float, main
 from drotree.errors import NumericalBreakdown, ParseError
+from drotree.gen import gen_random
 from drotree.oracle import check_labels
 from drotree.solver import solve_benders, solve_extensive
 from drotree.tree import load_instance, to_dict
@@ -133,7 +135,7 @@ def test_classify_oracle_jobs_match_serial(tmp_path, monkeypatch):
             reps.append(open(rep, "rb").read())
         assert reps[0] == reps[1]
 
-    # workers take the parent's solve from the payload instead of
+    # workers take the parent's tree and solve instead of loading and
     # re-solving the instance
     tree = load_instance(knife)
     out = solve_extensive(tree)
@@ -144,12 +146,42 @@ def test_classify_oracle_jobs_match_serial(tmp_path, monkeypatch):
         raise AssertionError("worker re-solved the baseline")
 
     monkeypatch.setattr(cli, "solve_extensive", no_resolve)
-    assert cli._on_instance((check_labels, knife, (out, items))) == want
+    monkeypatch.setattr(cli, "load_instance", no_resolve)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._map_items(check_labels, tree, (out,), items, 2) == want
+
+
+def test_workers_label_the_instance_the_parent_read(tmp_path, monkeypatch,
+                                                    pool_sizes):
+    inst = tmp_path / "r.json"
+    run("gen", "--random", "9,3,2", "--out", str(inst))
+    original = inst.read_bytes()
+    commands = (["sweep", str(inst), "--gamma", "0:1:0.25"],
+                ["classify", str(inst), "--oracle"])
+    want = []
+    for cmd in commands:
+        assert run(*cmd, "--jobs", "1", "--out", str(tmp_path / "a")) == 0
+        want.append((tmp_path / "a").read_bytes())
+
+    def load_then_rewrite(path):
+        tree = load_instance(path)
+        inst.write_text(dump_json(to_dict(gen_random(10, 3, 2))))
+        return tree
+
+    monkeypatch.setattr(cli, "load_instance", load_then_rewrite)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for cmd, expected in zip(commands, want):
+        inst.write_bytes(original)
+        assert run(*cmd, "--jobs", "2", "--out", str(tmp_path / "b")) == 0
+        assert inst.read_bytes() != original
+        assert (tmp_path / "b").read_bytes() == expected
+    assert pool_sizes == [2, 2]
 
 
 class _InProcessPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, each payload through pickle as a worker would get it."""
+    this process, the callable and each chunk through pickle as a worker
+    would get them."""
 
     sizes: list = []
 
@@ -162,8 +194,9 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, payloads):
-        return [fn(pickle.loads(pickle.dumps(p))) for p in payloads]
+    def map(self, fn, chunks):
+        fn = pickle.loads(pickle.dumps(fn))
+        return [fn(pickle.loads(pickle.dumps(c))) for c in chunks]
 
 
 @pytest.fixture
@@ -615,3 +648,18 @@ def test_numerical_breakdown_exit_code(tmp_path, capsys, monkeypatch):
     assert run("solve", inst) == 5
     err = capsys.readouterr().err
     assert _one_error_line(err) and "pivot magnitude" in err
+
+
+def test_nonfinite_ratio_minimum_exits_5_with_one_line(tmp_path, capsys):
+    inst = tmp_path / "r.json"
+    assert run("gen", "--random", "7,3,2", "--out", str(inst)) == 0
+    blob = json.loads(inst.read_text())
+    blob["stage_templates"][2]["cost"][2] = -1e200
+    inst.write_text(json.dumps(blob))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's overflow warnings stay off
+        assert run("solve", str(inst)) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ratio test minimum nan\n"

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +8,6 @@ from drotree.effectiveness import (
     EFFECTIVE,
     INEFFECTIVE,
     UNIDENTIFIED,
-    ClassifierSettings,
     CondLabel,
     classification_report,
     classify_node_children,
@@ -36,10 +36,10 @@ def fake_outcome(q_values):
     return SolveOutcome(0.0, {}, dict(q_values), {}, "fake")
 
 
-def two_stage_labels(values, q=None, gamma=0.5, settings=None):
+def two_stage_labels(values, q=None, gamma=0.5, c2_rule="c1_plus_c2"):
     tree = leaf_value_tree(values, q=q, gamma=gamma)
     out = fake_outcome({f"l{k}": float(v) for k, v in enumerate(values)})
-    return classify_node_children(tree, out, "r", settings)
+    return classify_node_children(tree, out, "r", c2_rule)
 
 
 def test_rule_table_uniform_midrange():
@@ -93,8 +93,7 @@ def test_rule_table_var_boundary():
 def test_group_mass_variant_leaves_singleton_unresolved():
     # literal summary-table reading: the at-quantile group's own mass
     # (1/3) neither matches the radius nor clears it, so unresolved
-    s = ClassifierSettings(c2_mass_rule="c2_only")
-    labs = two_stage_labels([1.0, 2.0, 3.0], gamma=0.5, settings=s)
+    labs = two_stage_labels([1.0, 2.0, 3.0], gamma=0.5, c2_rule="c2_only")
     assert [c.label for c in labs] == [INEFFECTIVE, UNIDENTIFIED, EFFECTIVE]
     assert labs[1].reason == "at-var-residual"
 
@@ -106,9 +105,7 @@ def test_knife_edge_where_rules_split():
     # default cumulative rule gets right. This knife edge is why the
     # cumulative rule is the default.
     values, q, gamma = [1.0, 2.0, 3.0], [0.2, 0.5, 0.3], 0.5
-    group = two_stage_labels(
-        values, q=q, gamma=gamma,
-        settings=ClassifierSettings(c2_mass_rule="c2_only"))
+    group = two_stage_labels(values, q=q, gamma=gamma, c2_rule="c2_only")
     default = two_stage_labels(values, q=q, gamma=gamma)
     assert group[1].label == INEFFECTIVE
     assert default[1].label == EFFECTIVE
@@ -344,7 +341,7 @@ def test_dot_styles_follow_labels():
     assert '"r" -> "l2" [style=solid penwidth=2];' in dot
     # the unresolved thin-solid style under the group-mass reading
     out = solve_extensive(tree)
-    cond = classify_tree(tree, out, ClassifierSettings(c2_mass_rule="c2_only"))
+    cond = classify_tree(tree, out, "c2_only")
     dot = to_dot(tree, cond)
     assert '"r" -> "l1" [style=solid penwidth=1];' in dot
 
@@ -356,7 +353,8 @@ def test_errors():
     with pytest.raises(NotSolved):
         classify_node_children(tree, fake_outcome({}), "r")
     with pytest.raises(ValueError):
-        ClassifierSettings(c2_mass_rule="nonsense")
+        classify_node_children(tree, fake_outcome({"l0": 1.0, "l1": 2.0}),
+                               "r", c2_rule="nonsense")
 
 
 def test_sweep_point_regammas_solves_and_labels():
@@ -374,8 +372,26 @@ def test_report_from_given_labels_matches_its_own():
     tree = gen_water_analog(0, 0.95)
     out = solve_extensive(tree)
     for rule in ("c1_plus_c2", "c2_only"):
-        settings = ClassifierSettings(rule)
-        cond = classify_tree(tree, out, settings)
-        paths = classify_paths(tree, out, settings, cond)
-        assert classification_report(tree, out, settings, cond, paths) == \
-            classification_report(tree, out, settings)
+        cond = classify_tree(tree, out, rule)
+        paths = classify_paths(tree, out, rule, cond)
+        assert classification_report(tree, out, rule, cond, paths) == \
+            classification_report(tree, out, rule)
+
+
+def test_benchmark_call_forms_keep_their_labels():
+    """The forms bench/ calls: the rule slot of classify_paths is None
+    and never read when cond is given, and the other two take the
+    default rule. On water they give the labels they gave before the
+    rule became a plain string."""
+    tree = gen_water_analog(0, 0.95)
+    out = solve_extensive(tree)
+    cond = classify_tree(tree, out)
+    assert cond == classify_tree(tree, out, "c1_plus_c2")
+    paths = classify_paths(tree, out, None, cond)
+    assert paths == classify_paths(tree, out, "c1_plus_c2")
+    assert Counter((c.label, c.reason) for c in cond.values()) == {
+        (INEFFECTIVE, "below-var"): 63, (EFFECTIVE, "at-sup"): 9}
+    assert Counter(p.label for p in paths) == {INEFFECTIVE: 63, EFFECTIVE: 1}
+    rep = classification_report(tree, out)
+    assert rep == classification_report(tree, out, "c1_plus_c2", cond, paths)
+    assert rep["c2_mass_rule"] == "c1_plus_c2"

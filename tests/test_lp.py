@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drotree import lp as lpmod
 import drotree.solver as solver_module
@@ -13,6 +13,7 @@ from drotree.lp import (LinearProgram, solve_lp, solve_lps,
 from drotree.oracle import (PATHS, REALIZATIONS, RemovalSet, assess_paths,
                             assess_realizations)
 from drotree.solver import build_extensive, solve_benders, solve_extensive
+from drotree.tree import from_dict, to_dict
 
 from helpers import duality_report, exact_lp_certificate
 
@@ -470,3 +471,78 @@ def test_solve_lps_raises_a_breakdown_only_for_its_own_lp(monkeypatch):
             solve_lp(lp)
     with pytest.raises(NumericalBreakdown):
         list(results)
+
+
+def _breakdown_lp():
+    """The root LP of `gen --random 7,3,2` with one stage-3 cost set to
+    -1e200: its pivots overflow to nan, and the ratio test then has a
+    nan minimum."""
+    blob = to_dict(gen_random(7, T=3, branching=2))
+    blob["stage_templates"][2]["cost"][2] = -1e200
+    return build_extensive(from_dict(blob))[0]
+
+
+def test_nonfinite_ratio_minimum_is_one_breakdown_alone_and_stacked():
+    lp = _breakdown_lp()
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalBreakdown) as alone:
+            solve_lp(lp)
+        results = solve_lps([lp, lp])
+        for i in range(2):
+            with pytest.raises(NumericalBreakdown) as stacked:
+                results[i]
+            assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) == "ratio test minimum nan"
+
+
+_HUGE = st.sampled_from([0.0, 1.0, -1.0, 1e200, -1e200, 1e-200])
+_COEF = st.one_of(_HUGE, st.integers(-5, 5).map(float),
+                  st.floats(-1e200, 1e200, allow_nan=False))
+
+
+@st.composite
+def _same_shape_batches(draw):
+    """Two to four LPs that share their rows' senses and sparsity, their
+    rhs signs and their bound kinds, so that most of them stack; their
+    numbers, from +-1e-200 to +-1e200, differ."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    senses = draw(st.lists(st.sampled_from(lpmod._SENSES), min_size=m,
+                           max_size=m))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m,
+                          max_size=m))
+    pattern = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                            min_size=m, max_size=m))
+    kinds = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    batch = []
+    for _ in range(draw(st.integers(2, 4))):
+        lower, upper = [], []
+        for kind in kinds:
+            lo, width = draw(_COEF), abs(draw(_COEF))
+            lower.append(0.0 if kind == 0 else lo if kind == 3 else -math.inf)
+            upper.append(lo + width if kind in (1, 3) else math.inf)
+        lp = LinearProgram(n, [draw(_COEF) for _ in range(n)], lower=lower,
+                           upper=upper)
+        for sense, sign, used in zip(senses, signs, pattern):
+            lp.add_row({j: draw(_COEF) for j in range(n) if used[j]}, sense,
+                       sign * abs(draw(_COEF)))
+        batch.append(lp)
+    return batch
+
+
+def _result(get):
+    try:
+        return _bits(get())
+    except NumericalBreakdown as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_same_shape_batches())
+@example([_breakdown_lp(), _breakdown_lp()])
+def test_property_stacked_results_equal_lone_results(batch):
+    """Every member of a solve_lps batch gets the bits solve_lp gives it
+    alone, or both raise the same breakdown."""
+    with np.errstate(all="ignore"):
+        results = solve_lps(batch)
+        for i, lp in enumerate(batch):
+            assert _result(lambda: results[i]) == _result(lambda: solve_lp(lp))

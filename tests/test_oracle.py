@@ -9,7 +9,6 @@ from drotree.effectiveness import (
     EFFECTIVE,
     INEFFECTIVE,
     UNIDENTIFIED,
-    ClassifierSettings,
     classify_paths,
     classify_tree,
 )
@@ -303,7 +302,7 @@ def test_check_labels_records_each_identified_label():
     # removing l1 drops the value 2.8 -> 2.6
     tree = leaf_value_tree([1.0, 2.0, 3.0], q=[0.2, 0.5, 0.3])
     out = solve_extensive(tree)
-    rule = ClassifierSettings("c2_only")
+    rule = "c2_only"
     cond = classify_tree(tree, out, rule)
     items = identified_labels(cond, classify_paths(tree, out, rule, cond))
     labels = [INEFFECTIVE, INEFFECTIVE, EFFECTIVE]

@@ -152,22 +152,20 @@ def test_restricted_zero_prob_child_with_interior_sup():
 
 
 def test_worked_categorize():
-    cats = categorize(THIRDS, 0.5)
-    assert cats.labels == ["C1", "C2", "C4"]
-    assert cats.var_level == pytest.approx(2.0)
-    assert cats.sup_level == pytest.approx(3.0)
+    assert categorize(THIRDS, 0.5) == ["C1", "C2", "C4"]
+    assert var_level(THIRDS, 0.5) == pytest.approx(2.0)
+    assert max(THIRDS.values) == pytest.approx(3.0)
 
 
 def test_categorize_all_equal_resolves_to_c4():
     d = FiniteDist(np.array([2.0, 2.0, 2.0]), np.array([1, 1, 1]) / 3.0)
-    assert categorize(d, 0.5).labels == ["C4", "C4", "C4"]
+    assert categorize(d, 0.5) == ["C4", "C4", "C4"]
 
 
 def test_categorize_var_at_bottom():
     d = FiniteDist(np.array([0.0, 10.0]), np.array([0.9, 0.1]))
-    cats = categorize(d, 0.05)
-    assert cats.var_level == pytest.approx(0.0)
-    assert cats.labels == ["C2", "C4"]
+    assert var_level(d, 0.05) == pytest.approx(0.0)
+    assert categorize(d, 0.05) == ["C2", "C4"]
 
 
 def test_categorize_rejects_degenerate_gamma():
@@ -276,10 +274,10 @@ def test_property_maximizer_attains_the_value_at_near_ties(d, gamma, data):
 @given(dists(), st.floats(0.01, 0.99))
 def test_property_categories_partition(d, gamma):
     cats = categorize(d, gamma)
-    assert len(cats.labels) == d.n
-    assert all(l in ("C1", "C2", "C3", "C4") for l in cats.labels)
-    assert "C4" in cats.labels
-    c1_mass = d.probs[[l == "C1" for l in cats.labels]].sum()
+    assert len(cats) == d.n
+    assert all(l in ("C1", "C2", "C3", "C4") for l in cats)
+    assert "C4" in cats
+    c1_mass = d.probs[[l == "C1" for l in cats]].sum()
     assert c1_mass < gamma + 1e-9
 
 
