@@ -23,9 +23,11 @@ class StageOutOfRange(DrotreeError):
 
 class NumericalBreakdown(DrotreeError):
     """A solve cannot be trusted: a simplex pivot fell below its
-    breakdown threshold or the simplex hit its iteration limit, or a
-    Benders lower bound exceeded its upper bound (the theta floor was
-    not a valid bound)."""
+    breakdown threshold, a ratio test's minimum was not finite (nan or
+    inf once an overflow reached the tableau), or the simplex hit its
+    iteration limit; a Benders lower bound exceeded its upper bound (the
+    theta floor was not a valid bound); or an oracle's restricted
+    optimum exceeded its baseline by more than eff_tolerance."""
 
 
 class MissingXiField(DrotreeError):

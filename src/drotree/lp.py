@@ -78,8 +78,7 @@ MAX_PIVOTS = 200_000    # pivots per phase before the solve gives up
 _SENSES = ("<=", "=", ">=")
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     coefs: dict[int, float]
     sense: str
     rhs: float
@@ -182,11 +181,10 @@ def _tableau(lp: LinearProgram):
         c.extend(s * lp.objective[j] for _, s in maps[-1][1])
     n = len(c)
 
-    rows = [(row.coefs, row.sense, row.rhs) for row in lp.rows]
-    n_user = len(rows)
-    rows += [({j: 1.0}, "<=", hi)
-             for j, (lo, hi) in enumerate(zip(lower, upper))
-             if math.isfinite(lo) and math.isfinite(hi)]
+    n_user = len(lp.rows)
+    rows = lp.rows + [({j: 1.0}, "<=", hi)
+                      for j, (lo, hi) in enumerate(zip(lower, upper))
+                      if math.isfinite(lo) and math.isfinite(hi)]
     ents, basis, row_sign, flipped = [], [], [], []   # ents: (row, col, value)
     slack = n
     artificial = first_art = n + sum(sense != "=" for _, sense, _ in rows)

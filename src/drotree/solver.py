@@ -19,8 +19,8 @@ from .errors import (
     InstanceUnbounded,
     NumericalBreakdown,
 )
-from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp,
-                 solve_lps)
+from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, Row,
+                 solve_lp, solve_lps)
 from .tree import ScenarioTree
 from .tvrisk import FiniteDist, removal_empties, worst_case_expectation
 
@@ -320,36 +320,27 @@ def _theta_floor(nlps) -> float:
 
 
 class _BendersNode:
-    """One node's LP data plus its growing cut pool."""
+    """One node's LP parts that no cut changes, and its cut rows, each
+    made once; build appends them after the template rows, optimality
+    rows first."""
 
     def __init__(self, nlp, is_leaf, theta_floor):
         self.nlp = nlp
         self.is_leaf = is_leaf
-        self.theta_floor = theta_floor
-        self.opt_cuts: list[tuple[np.ndarray, float]] = []   # theta >= b'x+a
-        self.feas_cuts: list[tuple[np.ndarray, float]] = []  # g'x <= r
+        extra = 0 if is_leaf else 1
+        self.objective = np.concatenate([nlp.cost, np.ones(extra)])
+        self.lower = np.concatenate([nlp.lower, np.full(extra, theta_floor)])
+        self.upper = np.concatenate([nlp.upper, np.full(extra, math.inf)])
+        self.opt_rows: list[Row] = []    # theta - b'x >= a
+        self.feas_rows: list[Row] = []   # g'x <= r
 
     def build(self, incoming) -> LinearProgram:
-        nlp = self.nlp
-        n = nlp.n_vars
-        extra = 0 if self.is_leaf else 1
-        objective = np.concatenate([nlp.cost, np.ones(extra)])
-        lower = np.concatenate(
-            [nlp.lower, np.full(extra, self.theta_floor)])
-        upper = np.concatenate([nlp.upper, np.full(extra, math.inf)])
-        lp = LinearProgram(n + extra, objective, lower=lower, upper=upper)
-        for coefs, sense, rhs in _stage_rows(nlp, range(n),
-                                             incoming=incoming):
-            lp.add_row(coefs, sense, rhs)
-        for beta, alpha in self.opt_cuts:
-            coefs = {n: 1.0}
-            for j, b in enumerate(beta):
-                if b != 0.0:
-                    coefs[j] = -float(b)
-            lp.add_row(coefs, ">=", float(alpha))
-        for grad, rhs in self.feas_cuts:
-            coefs = {j: float(gj) for j, gj in enumerate(grad) if gj != 0.0}
-            lp.add_row(coefs, "<=", float(rhs))
+        lp = LinearProgram(self.objective.size, self.objective,
+                           lower=self.lower, upper=self.upper)
+        for row in _stage_rows(self.nlp, range(self.nlp.n_vars),
+                               incoming=incoming):
+            lp.add_row(*row)
+        lp.rows += self.opt_rows + self.feas_rows
         return lp
 
     def link_gradient(self, row_duals, n_parent) -> np.ndarray:
@@ -366,19 +357,50 @@ class _BendersNode:
         return grad
 
 
+def _forward(tree, work, levels, root_id, root_incoming):
+    """One forward walk: each level's node LPs, at their parents'
+    decisions and under their current cut rows, in one solve_lps call.
+    Returns (xvals, sols), each node's decision and LP solution, or None
+    after adding a feasibility row to the parent of the first infeasible
+    node in file order. Results are taken in level order, so a later
+    member's NumericalBreakdown is not raised past that node."""
+    xvals: dict[str, np.ndarray] = {}
+    sols: dict[str, object] = {}
+    for level in levels:
+        incomings = [root_incoming if nid == root_id
+                     else xvals[tree.parent(nid)] for nid in level]
+        results = solve_lps([work[nid].build(incoming)
+                             for nid, incoming in zip(level, incomings)])
+        for nid, incoming, sol in zip(level, incomings, results):
+            if sol.status == UNBOUNDED:
+                raise InstanceUnbounded(f"node {nid!r} subproblem unbounded")
+            if sol.status == INFEASIBLE:
+                if nid == root_id:
+                    raise InstanceInfeasible("root subproblem infeasible")
+                grad = work[nid].link_gradient(sol.farkas, incoming.size)
+                # w(y) >= w(y0) + grad'(y - y0) must be forced <= 0
+                rhs = float(grad @ incoming) - float(sol.phase1_value)
+                coefs = {j: float(g) for j, g in enumerate(grad) if g != 0.0}
+                work[tree.parent(nid)].feas_rows.append(Row(coefs, "<=", rhs))
+                return None
+            xvals[nid] = sol.primal[:work[nid].nlp.n_vars].copy()
+            sols[nid] = sol
+    return xvals, sols
+
+
 def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
                   max_iter: int = 200, removals=None, root=None,
                   fixed_incoming=None) -> SolveOutcome:
     """Nested Benders over the (sub)tree hanging at `root`.
 
-    Each pass walks the tree forward solving every node LP under its
-    current cut pool, evaluates the visited policy exactly for an upper
-    bound, then walks backward re-solving children and adding one
-    aggregated optimality cut per node. The forward walk solves one
+    Each pass walks the tree forward (_forward) solving every node LP
+    under its current cut rows, evaluates the visited policy exactly for
+    an upper bound, then walks backward re-solving children and adding
+    one aggregated optimality row per node. The forward walk solves one
     level per solve_lps call, the backward walk the internal children of
-    one level per call. Child values are weighted by a
-    worst-case distribution over the current approximations. Infeasible
-    child solves yield feasibility cuts on the parent. Stops when
+    one level per call. Child values are weighted by a worst-case
+    distribution over the current approximations. A forward walk that
+    meets an infeasible node cuts its parent and starts over. Stops when
     (upper - lower) <= tol * max(1, |lower|) or after max_iter passes;
     the outcome records the achieved gap and lower bound either way. A
     lower bound above the upper one by more than that tolerance means the
@@ -415,35 +437,10 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     passes = 0
 
     for passes in range(1, max_iter + 1):
-        # forward
-        xvals: dict[str, np.ndarray] = {}
-        fwd: dict[str, object] = {}
-        cut_added = False
-        for level in levels:
-            incomings = [root_incoming if nid == root_id
-                         else xvals[tree.parent(nid)] for nid in level]
-            sols = solve_lps([work[nid].build(incoming)
-                              for nid, incoming in zip(level, incomings)])
-            # in file order: the first infeasible node cuts its parent
-            for nid, incoming, sol in zip(level, incomings, sols):
-                if sol.status == UNBOUNDED:
-                    raise InstanceUnbounded(
-                        f"node {nid!r} subproblem unbounded")
-                if sol.status == INFEASIBLE:
-                    if nid == root_id:
-                        raise InstanceInfeasible("root subproblem infeasible")
-                    grad = work[nid].link_gradient(sol.farkas, incoming.size)
-                    # w(y) >= w(y0) + grad'(y - y0) must be forced <= 0
-                    rhs = float(grad @ incoming) - float(sol.phase1_value)
-                    work[tree.parent(nid)].feas_cuts.append((grad, rhs))
-                    cut_added = True
-                    break
-                xvals[nid] = sol.primal[:work[nid].nlp.n_vars].copy()
-                fwd[nid] = sol
-            if cut_added:
-                break
-        if cut_added:
+        walk = _forward(tree, work, levels, root_id, root_incoming)
+        if walk is None:
             continue  # repeat the pass with the strengthened parent
+        xvals, fwd = walk
 
         lower = float(fwd[root_id].objective_value)
         q_values, worst = _evaluate(tree, xvals, removals, root=root_id)
@@ -490,7 +487,10 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
                         continue
                     beta += p * grad
                     alpha += p * (v - float(grad @ incoming))
-                work[nid].opt_cuts.append((beta, alpha))
+                coefs = {incoming.size: 1.0}   # theta, after x
+                coefs.update((j, -float(b)) for j, b in enumerate(beta)
+                             if b != 0.0)
+                work[nid].opt_rows.append(Row(coefs, ">=", alpha))
 
     if best is None:
         raise InstanceInfeasible("no feasible pass completed")

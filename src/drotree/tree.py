@@ -61,6 +61,12 @@ class ScenarioTree:
         object.__setattr__(self, "_node_lps", {})
         self._validate()
 
+    def __reduce__(self):
+        # a copy rebuilds the index and a fresh node-LP cache, whose
+        # arrays are read-only again: pickling would drop that flag
+        return (ScenarioTree, (self.name, self.T, self.nodes, self.gamma,
+                               self.stage_templates, self.meta))
+
     def _validate(self):
         if self.T < 2:
             raise ValidationError("tree must have at least two stages")

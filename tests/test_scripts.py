@@ -13,6 +13,19 @@ def load_script(name):
     return module
 
 
+def test_benchmark_trace_entry_points_exist():
+    # bench/tracing.py wraps what it traces by name, so a rename in src
+    # would break every traced benchmark run
+    path = SCRIPTS.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr, _ in tracing.ENTRY_POINTS:
+        assert callable(getattr(module, attr, None)), attr
+    for _, cls, attr, _ in tracing.METHODS:
+        assert attr in cls.__dict__, attr
+
+
 def test_identification_rate_batch_agrees_with_the_oracle():
     identified, total, disagreements, _, _ = load_script(
         "identification_rate").run_batch(0.5, 1, 3, 9000)

@@ -356,6 +356,26 @@ def test_benders_feasibility_cuts():
     assert bend.policy["r"][0] >= 1.5 - 1e-7
 
 
+def test_forward_walk_cuts_the_parent_of_the_first_infeasible_node():
+    from drotree.solver import _BendersNode, _forward, _levels, _theta_floor
+
+    tree = _feascut_tree()
+    levels = _levels(tree, "r")
+    ids = [nid for level in levels for nid in level]
+    floor = _theta_floor(tree.node_lp(nid) for nid in ids)
+    work = {nid: _BendersNode(tree.node_lp(nid), not tree.children(nid),
+                              floor) for nid in ids}
+    # at x_r = 0, node a (first in file order) needs x_r >= 1.5; the
+    # walk stops there, so b adds no second row
+    assert _forward(tree, work, levels, "r", np.zeros(0)) is None
+    assert work["r"].feas_rows == [({0: -1.0}, "<=", -1.5)]
+    assert all(not w.opt_rows and not w.feas_rows
+               for nid, w in work.items() if nid != "r")
+    xvals, sols = _forward(tree, work, levels, "r", np.zeros(0))
+    assert list(xvals) == list(sols) == ["r", "a", "b"]
+    assert xvals["r"] == pytest.approx([1.5])
+
+
 def test_benders_iteration_limit_returns_best_bounds():
     tree = gen_random(51, T=3, branching=3, n_vars=2, gamma=0.5)
     out = solve_benders(tree, tol=1e-12, max_iter=1)

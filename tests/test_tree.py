@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from drotree.errors import (
     UnknownNode,
     ValidationError,
 )
+from drotree.gen import gen_water_analog
+from drotree.solver import solve_extensive
 from drotree.tree import ScenarioTree, from_dict, to_dict, with_uniform_gamma
 
 from helpers import (chain_tree, leaf_value_tree, minimal_dict,
@@ -118,6 +121,19 @@ def test_with_uniform_gamma():
     assert bumped.gamma == (0.9, 0.9)
     assert tree.gamma == (0.5, 0.5)  # original untouched
     assert bumped.leaves() == tree.leaves()
+
+
+def test_pickled_tree_has_a_read_only_node_lp_cache():
+    # pool workers get the tree pickled; pickling drops the read-only
+    # flag, so the copy must build its own node-LP cache
+    tree = gen_water_analog(0, gamma=0.95)
+    solve_extensive(tree)
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree
+    for nd in copy.nodes:
+        nlp = copy.node_lp(nd.id)
+        for arr in (nlp.cost, nlp.lower, nlp.upper):
+            assert not arr.flags.writeable
 
 
 def _random_tree(rng: np.random.Generator) -> ScenarioTree:
