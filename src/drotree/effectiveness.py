@@ -17,7 +17,7 @@ from .errors import NotSolved
 from .solver import SolveOutcome, solve_extensive
 from .tree import ScenarioTree, with_uniform_gamma
 from .tvrisk import (REMOVAL_FEAS_TOL, FiniteDist, categorize,
-                     removal_empties, worst_case_expectation)
+                     removal_empties, value_band, worst_case_expectation)
 
 EFFECTIVE = "Effective"
 INEFFECTIVE = "Ineffective"
@@ -27,8 +27,9 @@ UNIDENTIFIED = "Unidentified"
 def eff_tolerance(baseline: float) -> float:
     """Strict-decrease threshold shared by the classifier's Effective
     certificate and the assessment oracle: a removal counts as effective
-    only when it lowers the value by more than this."""
-    return 1e-6 * max(1.0, abs(baseline))
+    only when it lowers the value by more than this: 1e-6 up to
+    |baseline| 1e3, 1e-9 |baseline| beyond (tvrisk.value_band)."""
+    return value_band(1e-6, baseline)
 
 # edge styling used by the DOT export, keyed by conditional label
 _DOT_STYLE = {

@@ -26,11 +26,24 @@ import numpy as np
 PROB_SUM_TOL = 1e-12
 # removed nominal mass against gamma (removal_empties)
 REMOVAL_FEAS_TOL = 1e-10
+# added to every value band: above the rounding of any value up to 1e3 in
+# magnitude (half an ulp of 1e3 is 5.7e-14), so a difference exactly on a
+# band's edge keeps its side when all the values are shifted alike
+ROUND_ABS = 2.0 ** -40
 
 
-def _eq_tol(sup_level: float) -> float:
-    # shared equality tolerance for value comparisons, scaled to the data
-    return 1e-9 * max(1.0, abs(sup_level))
+def value_band(unit: float, magnitude: float) -> float:
+    """A tolerance for values of the given magnitude: `unit` up to
+    magnitude 1e3 and relative beyond, unit * max(1, 1e-3 * |magnitude|),
+    plus ROUND_ABS. LP values carry rounding of about 5e-15 of their
+    magnitude, far inside the relative part, and a uniform shift of
+    values that stay within 1e3 in magnitude leaves the band as it is."""
+    return unit * max(1.0, 1e-3 * abs(magnitude)) + ROUND_ABS
+
+
+def _eq_tol(values) -> float:
+    # shared equality tolerance for value comparisons
+    return value_band(1e-9, float(np.max(np.abs(values))))
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,7 @@ class WorstCaseResult:
 
 def psi(dist: FiniteDist, eta: float) -> float:
     """Nominal mass at or below eta (tolerance-aware comparison)."""
-    tol = _eq_tol(float(dist.values.max()))
+    tol = _eq_tol(dist.values)
     return float(dist.probs[dist.values <= eta + tol].sum())
 
 
@@ -209,7 +222,7 @@ def categorize(dist: FiniteDist, gamma: float) -> list[str]:
     h = dist.values
     sup = float(h.max())
     v = var_level(dist, gamma)
-    tol = _eq_tol(sup)
+    tol = _eq_tol(h)
     labels = []
     for x in h:
         if abs(x - sup) <= tol:

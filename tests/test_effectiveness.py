@@ -239,6 +239,15 @@ def test_effective_set_shrinks_with_gamma():
     st.floats(-10, 10),
     st.floats(0.05, 0.95),
 )
+# drops of 7.5e-6 and 1e-5: between the thresholds 1e-6 * max(1, |value|)
+# of the shifted and unshifted node values
+@example([0.0, 0.0, 0.0, 1e-05], 8.0, 0.5)
+@example([0.0, 0.0, 1e-05], 9.0, 0.5)
+# a difference or a drop exactly on a band's edge, and a hair past it
+@example([0.0, 1e-9], 1.0, 0.5)
+@example([1e-9, -5.8e-23], 0.5, 0.5)
+@example([0.0, 1e-6], 0.5, 0.5)
+@example([1e-6, -1e-15], 5.0, 0.5)
 def test_labels_invariant_to_uniform_shift(values, c, gamma):
     tree = leaf_value_tree(values, gamma=gamma)
     base = fake_outcome({f"l{k}": v for k, v in enumerate(values)})

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from drotree.lp import LinearProgram, solve_lp, OPTIMAL
-from drotree.tvrisk import (FiniteDist, psi, var_level, cvar,
-                            removal_empties, worst_case_expectation,
+from drotree.tvrisk import (ROUND_ABS, FiniteDist, psi, var_level, cvar,
+                            removal_empties, value_band,
+                            worst_case_expectation,
                             worst_case_expectation_restricted, categorize)
 
 from helpers import tv_distance, worst_case_is_unique
@@ -166,6 +167,25 @@ def test_categorize_var_at_bottom():
     d = FiniteDist(np.array([0.0, 10.0]), np.array([0.9, 0.1]))
     assert var_level(d, 0.05) == pytest.approx(0.0)
     assert categorize(d, 0.05) == ["C2", "C4"]
+
+
+def test_value_band_is_absolute_up_to_1e3_and_relative_beyond():
+    for m in (0.0, -1.0, 15.0, -1e3, 1e3):
+        assert value_band(1e-9, m) == 1e-9 + ROUND_ABS
+    assert value_band(1e-9, -1e6) == pytest.approx(1e-6 + ROUND_ABS,
+                                                   rel=1e-15)
+    assert value_band(1e-6, 1e9) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_categorize_ties_are_the_same_at_any_offset_up_to_1e3():
+    # a gap of 2e-9 splits the pair wherever it sits up to magnitude 1e3;
+    # at 1e6 the band is 1e-6 and a gap of 1e-7 is a tie
+    q = np.array([0.5, 0.5])
+    for offset in (0.0, 1.0, -7.5, 999.0):
+        d = FiniteDist(np.array([offset, offset + 2e-9]), q)
+        assert categorize(d, 0.5) == ["C2", "C4"]
+    d = FiniteDist(np.array([1e6, 1e6 + 1e-7]), q)
+    assert categorize(d, 0.5) == ["C4", "C4"]
 
 
 def test_categorize_rejects_degenerate_gamma():
