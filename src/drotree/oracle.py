@@ -6,11 +6,16 @@ probability in the relevant ambiguity sets strictly lowers the optimal
 value. This module builds those restricted problems and compares optimal
 values, so it can arbitrate the cheap classifier in effectiveness.py.
 
-Each restricted problem is decided by its extensive root LP (the whole
-tree for a path assessment; the parent's subtree, with the grandparent's
-decision fixed, for a realization). Only that LP is solved, never the
-policy extraction of solve_extensive, whose policy an assessment does
-not need. An infeasible restricted LP marks the assessment infeasible.
+A check is decided in three steps (_assess). A removal that empties an
+ambiguity set is infeasible, hence Effective. Else, when the baseline
+LP's duals on every removed child's risk rows are exactly zero (kept by
+solve_extensive on SolveOutcome), the check is Ineffective with value
+equal to the baseline, and no LP is solved. Else the restricted problem
+is decided by its extensive root LP (the whole tree for a path
+assessment; the parent's subtree, with the grandparent's decision fixed,
+for a realization). Only that LP is solved, never the policy extraction
+of solve_extensive, whose policy an assessment does not need. An
+infeasible restricted LP marks the assessment infeasible.
 
 It also holds the label check that `drotree classify --oracle` runs:
 identified_labels lists the classifier's identified labels, and
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 
 from .effectiveness import EFFECTIVE, INEFFECTIVE, UNIDENTIFIED, eff_tolerance
 from .errors import InstanceInfeasible, InvalidRemoval, NotSolved, NumericalBreakdown
-from .solver import SolveOutcome, _solve_or_raise, build_extensive
+from .solver import (SolveOutcome, _solve_or_raise, build_extensive,
+                     check_removals)
 from .tree import ScenarioTree
 
 # decreases between eff_tolerance and this multiple of it are flagged
@@ -81,13 +87,22 @@ def _verdict(value: float, baseline: float) -> tuple[float, str, bool]:
             effective and drop <= BORDERLINE_FACTOR * eps)
 
 
-def _assess(tree: ScenarioTree, removals, baseline: float,
+def _assess(tree: ScenarioTree, removals, baseline: float, duals,
             node: str | None = None, incoming=None) -> AssessmentResult:
     """One assessment: the optimum of the (sub)tree at `node` (the whole
     tree when None, else with the parent decision fixed at `incoming`)
-    with `removals` applied, judged against `baseline`."""
+    with `removals` applied, judged against `baseline`. `duals` maps each
+    child to its risk-row duals in that LP without removals (empty when
+    unknown). Zero duals stay feasible for the restricted LP, which drops
+    those rows (rhs 0) and the s_c columns, so its optimum is the
+    baseline's; no tolerance, as a dual of 1e-17 is not zero."""
     try:
-        value = _restricted_value(tree, removals, node, incoming)
+        removals = check_removals(tree, removals)
+        if all(c in duals and not any(duals[c])
+               for gone in removals.values() for c in gone):
+            value = baseline
+        else:
+            value = _restricted_value(tree, removals, node, incoming)
     except InstanceInfeasible:
         return AssessmentResult(node, math.inf, baseline, EFFECTIVE,
                                 infeasible=True)
@@ -129,14 +144,19 @@ def assess_paths(tree: ScenarioTree, removal: RemovalSet,
     that each affected last-stage ambiguity set has the removed leaves
     pinned to zero probability. Compares against the unrestricted
     optimum, taken from `outcome` or, without one, from the extensive
-    root LP alone: a path assessment needs no policy."""
+    root LP alone: a path assessment needs no policy. With an extensive
+    outcome, removed leaves whose root-LP risk-row duals are all zero are
+    certified Ineffective with value == baseline and no LP; without an
+    outcome, or with a Benders one, every feasible removal re-solves."""
     _validate_paths(tree, removal)
     if outcome is None:
         lp, _ = build_extensive(tree)
         baseline = float(_solve_or_raise(lp, "instance").objective_value)
+        duals = {}
     else:
-        baseline = outcome.objective
-    return _assess(tree, _group_by_parent(tree, removal.ids), baseline)
+        baseline, duals = outcome.objective, outcome.root_duals
+    return _assess(tree, _group_by_parent(tree, removal.ids), baseline,
+                   duals)
 
 
 def assess_realizations(tree: ScenarioTree, removal: RemovalSet,
@@ -144,7 +164,11 @@ def assess_realizations(tree: ScenarioTree, removal: RemovalSet,
     """Conditional assessment: for each parent of a removed node, fix the
     incoming decision at the solved policy, re-solve that subtree with
     only the parent's own ambiguity set restricted, and compare against
-    the recorded node value. Keyed by parent id in file order."""
+    the recorded node value. Keyed by parent id in file order. When the
+    parent's own LP in an extensive outcome (the root LP at stage 2, else
+    its extraction LP) has all-zero duals on the removed children's risk
+    rows, that parent's check is Ineffective with value == baseline and
+    solves no LP; a Benders outcome keeps no duals and always re-solves."""
     if removal.kind != REALIZATIONS:
         raise InvalidRemoval(
             f"expected a {REALIZATIONS} removal, got {removal.kind}")
@@ -164,7 +188,7 @@ def assess_realizations(tree: ScenarioTree, removal: RemovalSet,
             raise NotSolved(f"no recorded decision for node {grand!r}")
         incoming = outcome.policy[grand] if grand is not None else None
         results[parent] = _assess(tree, {parent: gone}, baseline,
-                                  parent, incoming)
+                                  outcome.parent_duals, parent, incoming)
     return results
 
 

@@ -9,7 +9,7 @@ Agreement between the two is the main correctness check for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +29,11 @@ POLICY_FEAS_TOL = 1e-7
 
 @dataclass(frozen=True)
 class VarMap:
-    """Columns of each node's decision block inside an extensive LP."""
+    """Columns of each node's decision block inside an extensive LP, and
+    each child's risk rows (u - v_c >= 0, s_c + eta - v_c >= 0)."""
 
     x: dict[str, list[int]]
+    risk_rows: dict[str, list[int]]
 
 
 @dataclass
@@ -46,6 +48,11 @@ class SolveOutcome:
     passes: int = 0
     # proven lower bound on the optimum: Benders' last root LP value
     lower: float = -math.inf
+    # per child, the duals on its risk rows (VarMap.risk_rows) in the root
+    # LP and in its parent's own LP (the root LP at stage 2, else the
+    # parent's extraction LP); extensive only, in no JSON
+    root_duals: dict[str, list[float]] = field(default_factory=dict)
+    parent_duals: dict[str, list[float]] = field(default_factory=dict)
 
 
 def check_removals(tree: ScenarioTree, removals) -> dict[str, frozenset]:
@@ -154,6 +161,7 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
                     value[nid][s] = qc
                     risk[nid].append(({s: 1.0, eta: 1.0}, c))
 
+    risk_rows: dict[str, list[int]] = {}
     objective = np.zeros(len(lo))
     for k, a in value[root_id].items():
         objective[k] = a
@@ -167,8 +175,9 @@ def build_extensive(tree: ScenarioTree, removals=None, root=None,
         for coefs, c in risk.get(nid, ()):
             for k, a in value[c].items():
                 coefs[k] = coefs.get(k, 0.0) - a
+            risk_rows.setdefault(c, []).append(len(lp.rows))
             lp.add_row(coefs, ">=", 0.0)
-    return lp, VarMap(xs)
+    return lp, VarMap(xs, risk_rows)
 
 
 def _risk_of_children(tree, nid, child_values, removals):
@@ -283,7 +292,8 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
     fixed, which forces the recursion to hold at every node. The subtree
     LPs of one level go to one solve_lps call. The LP holds node values
     only as expressions, so q_values are computed bottom-up at that
-    policy.
+    policy. The outcome keeps each child's risk-row duals in the root LP
+    and in its parent's LP, which the oracle reads (oracle._assess).
     """
     lp, vm = build_extensive(tree)
     sol = _solve_or_raise(lp, "instance")
@@ -291,6 +301,7 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
     policy: dict[str, np.ndarray] = {
         root_id: np.array([sol.primal[j] for j in vm.x[root_id]])
     }
+    parent_duals = _risk_duals(sol, vm, tree.children(root_id))
     for level in _levels(tree, root_id)[1:]:
         subs = [build_extensive(tree, root=c,
                                 fixed_incoming=policy[tree.parent(c)])
@@ -299,10 +310,19 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
         for c, (_, sub_vm), sub_sol in zip(level, subs, sols):
             sub_sol = _checked(sub_sol, f"subtree at {c!r}")
             policy[c] = np.array([sub_sol.primal[j] for j in sub_vm.x[c]])
+            parent_duals.update(_risk_duals(sub_sol, sub_vm,
+                                            tree.children(c)))
     _check_policy(tree, policy, root_id)
     q_values, worst = _evaluate(tree, policy)
     return SolveOutcome(float(sol.objective_value), policy, q_values, worst,
-                        "extensive")
+                        "extensive",
+                        root_duals=_risk_duals(sol, vm, vm.risk_rows),
+                        parent_duals=parent_duals)
+
+
+def _risk_duals(sol, vm: VarMap, kids) -> dict[str, list[float]]:
+    """Each child's duals on its risk rows in the solved LP that vm maps."""
+    return {c: sol.duals[vm.risk_rows.get(c, [])].tolist() for c in kids}
 
 
 # nested Benders --------------------------------------------------------

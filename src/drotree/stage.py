@@ -46,7 +46,13 @@ class Coef:
             return self.offset
         if self.field not in xi:
             raise MissingXiField(f"{where}: xi field {self.field!r} missing")
-        return self.scale * float(xi[self.field]) + self.offset
+        x = float(xi[self.field])
+        v = self.scale * x + self.offset
+        if not math.isfinite(v):
+            raise ValidationError(
+                f"{where}: coefficient {self.scale!r} * {self.field} + "
+                f"{self.offset!r} is {v!r} at {self.field} = {x!r}")
+        return v
 
     @staticmethod
     def parse(obj) -> "Coef":

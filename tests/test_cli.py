@@ -8,9 +8,10 @@ import pytest
 
 import drotree.cli as cli
 import drotree.effectiveness as effectiveness
+import drotree.solver as solver_module
 from drotree.cli import dump_json, format_float, main
 from drotree.errors import NumericalBreakdown, ParseError
-from drotree.gen import gen_random
+from drotree.gen import gen_random, gen_water_analog
 from drotree.oracle import check_labels
 from drotree.solver import solve_benders, solve_extensive
 from drotree.tree import load_instance, to_dict
@@ -209,6 +210,29 @@ def pool_sizes(monkeypatch):
 def _counting(calls, fn, *args, **kwargs):
     calls.append(args)
     return fn(*args, **kwargs)
+
+
+def test_pooled_oracle_keeps_the_dual_certificates(tmp_path, monkeypatch,
+                                                   pool_sizes):
+    """Workers get the parent's solve through pickle, its risk-row duals
+    included: pooled and serial water reports are the same bytes, and
+    both solve the baseline's root LP and the 11 restricted LPs that no
+    zero dual decides."""
+    inst = write_instance(tmp_path, gen_water_analog(0, gamma=0.95))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = []
+    monkeypatch.setattr(solver_module, "solve_lp",
+                        functools.partial(_counting, calls,
+                                          solver_module.solve_lp))
+    runs = []
+    for jobs in ("1", "2"):
+        calls.clear()
+        rep = str(tmp_path / f"rep{jobs}.json")
+        assert run("classify", inst, "--oracle", "--jobs", jobs,
+                   "--out", rep) == 0
+        runs.append((open(rep, "rb").read(), len(calls)))
+    assert pool_sizes == [2]
+    assert runs[0] == runs[1] and runs[0][1] == 12
 
 
 def test_pool_is_capped_by_items_and_cpus(tmp_path, monkeypatch, pool_sizes):
@@ -663,3 +687,34 @@ def test_nonfinite_ratio_minimum_exits_5_with_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ratio test minimum nan\n"
+
+
+# a finite template coefficient, scale 1e308 times xi field d0, whose value
+# overflows at the named node of `gen --random 3,3,2`: (where, index, node)
+OVERFLOWING = {
+    "stage-1-cost": (lambda b: b["stage_templates"][0]["cost"], 1, "n0"),
+    "stage-2-link": (lambda b: b["stage_templates"][1]["rows"][0]["link"],
+                     "0", "n1"),
+    "stage-3-cost": (lambda b: b["stage_templates"][2]["cost"], 0, "n4"),
+}
+
+
+@pytest.mark.parametrize("solver", ["extensive", "benders"])
+@pytest.mark.parametrize("case", list(OVERFLOWING))
+def test_overflowing_coefficient_is_an_input_error(tmp_path, capsys, case,
+                                                   solver):
+    """Each case died with a traceback on at least one route (a non-finite
+    float at the writer, a non-finite rhs in add_row, an IndexError in the
+    worst case); both routes now exit 2 naming the node."""
+    inst = tmp_path / "r.json"
+    assert run("gen", "--random", "3,3,2", "--out", str(inst)) == 0
+    blob = json.loads(inst.read_text())
+    where, key, node = OVERFLOWING[case]
+    where(blob)[key] = {"xi": "d0", "scale": 1e308}
+    inst.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run("solve", str(inst), "--solver", solver) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert captured.err.startswith(f"error: node {node!r}: coefficient 1e+308")

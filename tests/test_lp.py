@@ -375,7 +375,8 @@ def test_sparse_gate_takes_only_root_lps(monkeypatch):
     and the restricted ones that decide a path assessment and a
     realization assessment at the root. Every other LP (policy
     extraction, Benders) is below it, so the small LPs keep the dense
-    update."""
+    update. The two assessments are Effective ones, which the baseline's
+    zero duals cannot decide, so each solves its restricted LP."""
     sizes = []
     tableau = lpmod._tableau
 
@@ -393,7 +394,7 @@ def test_sparse_gate_takes_only_root_lps(monkeypatch):
     solve_benders(tree)
     assert sizes and max(sizes) < gate
     sizes.clear()
-    leaf, child = tree.leaves()[0], tree.stage_nodes(2)[0]
+    leaf, child = "LHD-LHD", "LHD"
     assess_paths(tree, RemovalSet(PATHS, frozenset({leaf})), outcome)
     assess_realizations(tree, RemovalSet(REALIZATIONS, frozenset({child})),
                         outcome)

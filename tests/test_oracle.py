@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import drotree.oracle as oracle
 import drotree.solver as solver_module
@@ -11,15 +12,17 @@ from drotree.effectiveness import (
     UNIDENTIFIED,
     classify_paths,
     classify_tree,
+    eff_tolerance,
 )
 from drotree.errors import (
+    InstanceInfeasible,
     InvalidRemoval,
     NotSolved,
     NumericalBreakdown,
     UnknownNode,
 )
-from drotree.gen import gen_random
-from drotree.lp import solve_lp
+from drotree.gen import gen_random, gen_water_analog
+from drotree.lp import OPTIMAL, solve_lp
 from drotree.oracle import (
     PATHS,
     REALIZATIONS,
@@ -31,8 +34,8 @@ from drotree.oracle import (
     check_labels,
     identified_labels,
 )
-from drotree.solver import (SolveOutcome, build_extensive, solve_benders,
-                            solve_extensive)
+from drotree.solver import (SolveOutcome, build_extensive, check_removals,
+                            solve_benders, solve_extensive)
 from drotree.tree import with_uniform_gamma
 from drotree.tvrisk import FiniteDist, worst_case_expectation
 
@@ -321,3 +324,95 @@ def test_check_labels_records_each_identified_label():
     out = solve_extensive(tied)
     cond = classify_tree(tied, out)
     assert identified_labels(cond, classify_paths(tied, out, cond=cond)) == []
+
+
+def _every_check(tree, out):
+    """One realization check per non-root node and one path check per
+    leaf: (removals, root, incoming, result, LPs the check solved)."""
+    solved = []
+    restricted = oracle._restricted_value
+
+    def spy(*args):
+        solved.append(args)
+        return restricted(*args)
+
+    checks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_restricted_value", spy)
+        for nid in [n.id for n in tree.nodes][1:]:
+            parent, n = tree.parent(nid), len(solved)
+            grand = tree.parent(parent)
+            res = assess_realizations(tree, reals(nid), out)[parent]
+            checks.append(({parent: {nid}}, parent,
+                           None if grand is None else out.policy[grand],
+                           res, len(solved) - n))
+        for leaf in tree.leaves():
+            n = len(solved)
+            res = assess_paths(tree, paths(leaf), out)
+            checks.append(({tree.parent(leaf): {leaf}}, None, None, res,
+                           len(solved) - n))
+    return checks
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.floats(0.1, 0.9))
+@example(1, 3, 0.5)   # 6 of its 21 checks are certified
+def test_property_certified_checks_match_the_restricted_lp(seed, branching,
+                                                           gamma):
+    """A check decided with no LP either empties its ball (infeasible,
+    Effective) or has all-zero baseline duals on its removed rows; then the
+    restricted LP solved directly has the baseline's verdict and lies
+    within eff_tolerance of the baseline."""
+    tree = gen_random(seed, T=3, branching=branching, gamma=gamma)
+    out = solve_extensive(tree)
+    for removals, root, incoming, res, n_lps in _every_check(tree, out):
+        if n_lps:
+            continue
+        try:
+            check_removals(tree, removals)
+        except InstanceInfeasible:
+            assert res.infeasible and res.verdict == EFFECTIVE
+            continue
+        assert (res.value, res.verdict, res.infeasible, res.borderline) == (
+            res.baseline, INEFFECTIVE, False, False)
+        want = solve_lp(build_extensive(tree, removals=removals, root=root,
+                                        fixed_incoming=incoming)[0])
+        assert want.status == OPTIMAL
+        assert _verdict(want.objective_value, res.baseline)[1:] == (
+            INEFFECTIVE, False)
+        assert abs(res.baseline - want.objective_value) <= eff_tolerance(
+            res.baseline)
+
+
+def test_benders_outcome_keeps_resolving():
+    """A Benders outcome records no duals, so every check that does not
+    empty its ball solves its restricted LP."""
+    tree = with_uniform_gamma(gen_random(seed=11, T=3, branching=3), 0.4)
+    ben = solve_benders(tree)
+    assert ben.root_duals == {} and ben.parent_duals == {}
+    for _, _, _, res, n_lps in _every_check(tree, ben):
+        assert n_lps == (0 if res.infeasible else 1)
+
+
+def test_water_labels_solve_an_lp_only_where_no_dual_certifies(monkeypatch):
+    """Of water's 136 identified labels, 125 are decided by zero baseline
+    duals with no LP; each of the other 11 solves one."""
+    tree = gen_water_analog(0, gamma=0.95)
+    out = solve_extensive(tree)
+    cond = classify_tree(tree, out)
+    items = identified_labels(cond, classify_paths(tree, out, cond=cond))
+    calls = []
+    solve = solver_module.solve_lp
+    monkeypatch.setattr(solver_module, "solve_lp",
+                        lambda lp: calls.append(lp) or solve(lp))
+    n_lps = []
+    for item in items:
+        n = len(calls)
+        (rec,) = check_labels(tree, out, [item])
+        assert rec["agree"], item
+        n_lps.append(len(calls) - n)
+        if not n_lps[-1]:
+            assert (rec["verdict"], rec["value"]) == (INEFFECTIVE,
+                                                      rec["baseline"])
+    assert len(items) == 136
+    assert (n_lps.count(0), n_lps.count(1)) == (125, 11)

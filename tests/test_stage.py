@@ -27,6 +27,14 @@ def test_coef_missing_field_names_site():
         c.value({"e": 1.0}, where="node7")
 
 
+def test_coef_value_that_overflows_names_site():
+    c = Coef(field="d", scale=1e308)
+    assert c.value({"d": 1.5}, where="node7") == 1.5e308
+    for x in (2.0, -2.0):
+        with pytest.raises(ValidationError, match="node7: .* is -?inf"):
+            c.value({"d": x}, where="node7")
+
+
 def test_coef_parse_forms():
     assert Coef.parse(3).value({}, where="w") == 3.0
     c = Coef.parse({"xi": "d", "scale": -1.0, "offset": 4.0})
