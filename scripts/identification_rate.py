@@ -4,9 +4,13 @@ with brute-force re-solving?
 For a batch of random instances per radius: classify every realization
 and path, verify each identified label against the assessment oracle,
 and time both passes. Disagreements should always print as 0; the point
-of the table is the identified fraction and the speedup.
+of the table is the identified fraction and the speedup. Exits 1 when
+any label disagrees with the oracle.
+
+    PYTHONPATH=src python scripts/identification_rate.py
 """
 import argparse
+import sys
 import time
 
 from drotree.effectiveness import classify_paths, classify_tree
@@ -49,14 +53,17 @@ def main(argv=None):
 
     print(f"{'gamma':>6} {'identified':>11} {'fraction':>9} "
           f"{'disagree':>9} {'classify_s':>11} {'oracle_s':>9} {'speedup':>8}")
+    disagreements = 0
     for tok in args.gammas.split(","):
         g = float(tok)
         ident, total, dis, tc, to = run_batch(
             g, args.instances, args.branching, args.seed0)
+        disagreements += dis
         speed = f"{to / tc:.1f}x" if tc > 0 and to > 0 else "-"
         print(f"{g:6.2f} {ident:6d}/{total:<4d} {ident / total:9.3f} "
               f"{dis:9d} {tc:11.3f} {to:9.3f} {speed:>8}")
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

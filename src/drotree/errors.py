@@ -23,11 +23,11 @@ class StageOutOfRange(DrotreeError):
 
 class NumericalBreakdown(DrotreeError):
     """A solve cannot be trusted: a simplex pivot fell below its
-    breakdown threshold, a ratio test's minimum was not finite (nan or
-    inf once an overflow reached the tableau), or the simplex hit its
-    iteration limit; a Benders lower bound exceeded its upper bound (the
-    theta floor was not a valid bound); or an oracle's restricted
-    optimum exceeded its baseline by more than eff_tolerance."""
+    breakdown threshold, a ratio test's minimum or an optimum's objective
+    was not finite, or the simplex hit its iteration limit; a solver's
+    own policy failed its check; a Benders lower bound exceeded its upper
+    bound (the theta floor was not a valid bound); or an oracle's
+    restricted optimum exceeded its baseline by more than eff_tolerance."""
 
 
 class MissingXiField(DrotreeError):

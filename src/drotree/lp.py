@@ -3,54 +3,42 @@
 Minimizes c'x subject to sparse rows with senses <=, =, >= and per-variable
 bounds (defaults: lower 0, upper +inf; both may be infinite).
 
-One pass, `_tableau`, writes the LP straight into the starting tableau of
-its standard form min c'y, A y (sense) b, y >= 0. Every LP, one without
-rows included, then runs the same two phases from the slack/artificial
-basis: a row that is <= once its rhs is made nonnegative starts on its
-slack, every other row on an artificial. So a >= row with rhs 0 is
-negated into a <= row and starts on its slack (a slack crash, Bixby
-1992); in the extensive LP those are the risk rows. Phase 1 minimizes
-the artificial mass, phase 2 the original cost with the artificials
-locked out. Deterministic: Dantzig pricing with lowest-index tie breaks
-for the first 10*(rows+cols) pivots, then Bland's rule, which cannot
-cycle. A ratio test whose minimum eligible ratio is not finite (nan once
-an overflow has reached the tableau) raises NumericalBreakdown before
-the pivot's magnitude is checked.
+`_tableau` writes the LP straight into the starting tableau of its
+standard form min c'y, A y (sense) b, y >= 0. A row that is <= once its
+rhs is made nonnegative starts on its slack, every other row on an
+artificial; so a >= row with rhs 0, such as an extensive LP's risk row,
+starts on its slack (a slack crash, Bixby 1992). Phase 1 minimizes the
+artificial mass, phase 2 the original cost with the artificials locked
+out. Deterministic: Dantzig pricing with lowest-index tie breaks for the
+first 10*(rows+cols) pivots, then Bland's rule, which cannot cycle. A
+ratio test whose minimum is not finite, or an optimum whose objective is
+not finite, raises NumericalBreakdown.
 
-The tableau is a dense array. On a tableau of at least SPARSE_MIN_CELLS
-cells, a pivot updates only the rows with a nonzero in the pivot column
-and the columns with a nonzero in the pivot row, whenever those cells are
-under a quarter of the tableau; every other pivot updates the whole array.
-A skipped cell would only have had 0 * x subtracted from it, so both
-updates give the same numbers; at most the sign of a zero could differ.
-The gate keeps the many small LPs of the Benders and oracle paths on the
-dense update, which is faster for them.
+On a tableau of at least SPARSE_MIN_CELLS cells, a pivot updates only
+the rows and columns with a nonzero in the pivot column and row while
+those cells are under a quarter of the tableau; a skipped cell would only
+have had 0 * x subtracted, so at most the sign of a zero differs.
 
-solve_lps solves a list of LPs and gives each the result solve_lp gives
-it, bit for bit. It writes every tableau with _tableau and stacks those
-under SPARSE_MIN_CELLS cells that share their shape and their artificial
-columns into one (k, rows, cols+1) array (the Benders node LPs and the
-extraction LPs of one tree level, Gurung & Ray 2019, "Simultaneous
-solving of batched linear programs on a GPU"). Both phases run on the
-stack in lock step: each step picks every active member's entering
-column and leaving row by the rules above and pivots those members with
-a lone pivot's arithmetic on every cell, touching no other member, and
-each member breaks down on the same non-finite ratio or weak pivot. All
-active members share one pivot count, so they turn to Bland's rule
-together; a member leaves the stack when its phase ends, and the
-drive-out of leftover artificials runs member by member. An LP whose
-tableau has at least SPARSE_MIN_CELLS cells, or whose shape no other LP
-of the call shares, is solved alone on the loop above, which can skip
-zero cells and pays no stacking cost. A NumericalBreakdown belongs to
-one LP: it is raised when that LP's result is taken, not before.
+solve_lps gives each LP the result solve_lp gives it, bit for bit. It
+stacks the tableaus under SPARSE_MIN_CELLS cells that share their shape
+and artificial columns into one (k, rows, cols+1) array (Gurung & Ray
+2019, "Simultaneous solving of batched linear programs on a GPU") and
+runs both phases on it in lock step, each member with a lone pivot's
+arithmetic; a member leaves the stack when its phase ends. Every other
+LP is solved alone. A NumericalBreakdown belongs to one LP: it is raised
+when that LP's result is taken.
+
+relax re-solves an optimal LP with some inequality rows relaxed, warm
+from the final state a solve kept (keep=True): it frees those rows'
+slacks and runs phase 2 on from the final basis, with no phase 1 (Gal
+1995, "Postoptimal Analyses, Parametric Programming, and Related
+Topics"). Its result can differ from a cold solve's in the last digits.
 
 Dual sign convention for a minimization: the dual of a >= row is nonnegative,
-the dual of a <= row is nonpositive, equality rows are free. Duals are the
-sensitivity of the optimal value to the row's rhs. Each row starts with a
-unit column (its slack or its artificial), so the final objective row of a
-phase holds that phase's row duals: y_i = c_k - d_k for row i's unit column
-k, cost c_k and reduced cost d_k. Phase 2 gives the duals, phase 1 the
-Farkas vector of an infeasible LP.
+the dual of a <= row is nonpositive, equality rows are free. Each row
+starts on a unit column k (slack or artificial), so y_i = c_k - d_k with
+d_k its final reduced cost: phase 2 gives the duals, phase 1 the Farkas
+vector of an infeasible LP.
 """
 
 from __future__ import annotations
@@ -132,6 +120,7 @@ class LpSolution:
     # Set only when status == OPTIMAL: the final basis, as the tableau
     # column of each row in _tableau's column order. Not part of any output.
     basis: list[int] | None = None
+    final: Final | None = None   # with keep=True, for relax
 
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
@@ -147,6 +136,23 @@ class _Start(NamedTuple):
     maps: list
     row_sign: np.ndarray
     n_user: int
+    slack: list[int]   # each row's slack or surplus column, -1 for =
+
+
+class Final(NamedTuple):
+    """An optimal solve's final state, kept for relax: the LP, its _Start
+    without its tableau, the phase-2 objective row, the basis, the final
+    tableau as its shape, the flat indices of its nonzeros and their
+    values, and the user rows whose freed slack would price out."""
+
+    lp: LinearProgram
+    start: _Start
+    obj: np.ndarray
+    basis: list[int]
+    shape: tuple[int, int]
+    nz: np.ndarray
+    values: np.ndarray
+    pricing: frozenset
 
 
 def _tableau(lp: LinearProgram):
@@ -185,7 +191,8 @@ def _tableau(lp: LinearProgram):
     rows = lp.rows + [({j: 1.0}, "<=", hi)
                       for j, (lo, hi) in enumerate(zip(lower, upper))
                       if math.isfinite(lo) and math.isfinite(hi)]
-    ents, basis, row_sign, flipped = [], [], [], []   # ents: (row, col, value)
+    # ents: (row, col, value)
+    ents, basis, row_sign, flipped, slacks = [], [], [], [], []
     slack = n
     artificial = first_art = n + sum(sense != "=" for _, sense, _ in rows)
     for i, (coefs, sense, rhs) in enumerate(rows):
@@ -200,6 +207,7 @@ def _tableau(lp: LinearProgram):
             flipped.append(i)
         row_sign.append(sign)
         ents.append((i, -1, sign * rhs))
+        slacks.append(slack if sense != "=" else -1)
         if sense != "=":
             ents.append((i, slack, 1.0 if sense == "<=" else -1.0))
             slack += 1
@@ -216,7 +224,8 @@ def _tableau(lp: LinearProgram):
         tab[flipped, :n] *= -1.0
     cost = np.array(c + [0.0] * (artificial - n))
     art = np.arange(artificial) >= first_art
-    return _Start(tab, basis, cost, art, maps, np.array(row_sign), n_user)
+    return _Start(tab, basis, cost, art, maps, np.array(row_sign), n_user,
+                  slacks)
 
 
 def _pivot_breakdown(piv) -> NumericalBreakdown:
@@ -427,15 +436,26 @@ def _infeasible(start, obj) -> LpSolution:
                       phase1_value=float(-obj[-1]))
 
 
-def _optimal(lp, start, tab, basis, obj) -> LpSolution:
+def _optimal(lp, start, tab, basis, obj, keep=False) -> LpSolution:
     y = np.zeros(tab.shape[1] - 1)
     y[basis] = tab[:, -1]
     x = np.zeros(lp.n_vars)
     for j, (const, pairs) in enumerate(start.maps):
         k, s = pairs[0]
         x[j] = const + s * y[k] if len(pairs) == 1 else y[k] - y[k + 1]
-    return LpSolution(OPTIMAL, float(lp.objective @ x), x,
-                      _row_duals(start, start.cost, obj), basis=basis)
+    value = float(lp.objective @ x)
+    if not math.isfinite(value):   # as is any non-finite primal's
+        raise NumericalBreakdown(f"optimal objective {value!r}")
+    final = None
+    if keep:
+        nz = np.flatnonzero(tab.ravel() != 0.0)   # faster than on tab
+        slack = np.array(start.slack[:start.n_user], dtype=int)
+        pricing = (slack >= 0) & (obj[slack] > COST_TOL)
+        final = Final(lp, start._replace(tab=None), obj, basis, tab.shape,
+                      nz, tab.ravel()[nz],
+                      frozenset(np.flatnonzero(pricing).tolist()))
+    return LpSolution(OPTIMAL, value, x, _row_duals(start, start.cost, obj),
+                      basis=basis, final=final)
 
 
 def _phase1_failed(status, obj) -> bool:
@@ -443,7 +463,7 @@ def _phase1_failed(status, obj) -> bool:
     return status != OPTIMAL or -obj[-1] > FEAS_TOL
 
 
-def _solve_alone(lp, start) -> LpSolution:
+def _solve_alone(lp, start, keep=False) -> LpSolution:
     """Both phases on one tableau, with _run_simplex."""
     tab, basis, art = start.tab, list(start.basis), start.art
     ncols = art.size
@@ -461,10 +481,10 @@ def _solve_alone(lp, start) -> LpSolution:
     obj = _priced(tab, basis, start.cost)
     if _run_simplex(tab, obj, basis, ~art, bland_after) == UNBOUNDED:
         return LpSolution(UNBOUNDED, -math.inf, None, None)
-    return _optimal(lp, start, tab, basis, obj)
+    return _optimal(lp, start, tab, basis, obj, keep)
 
 
-def _solve_stack(lps, starts) -> list:
+def _solve_stack(lps, starts, keep) -> list:
     """_solve_alone on two or more LPs whose tableaus share their shape
     and their artificial columns, stacked and run by _run_stack; one
     LpSolution or NumericalBreakdown per LP."""
@@ -507,7 +527,11 @@ def _solve_stack(lps, starts) -> list:
         elif st == UNBOUNDED:
             out[q] = LpSolution(UNBOUNDED, -math.inf, None, None)
         else:
-            out[q] = _optimal(lps[q], starts[q], tab[p], rows[p], obj[p])
+            try:
+                out[q] = _optimal(lps[q], starts[q], tab[p], rows[p], obj[p],
+                                  keep)
+            except NumericalBreakdown as exc:
+                out[q] = exc
     return out
 
 
@@ -529,7 +553,7 @@ class LpResults(Sequence):
         return item
 
 
-def solve_lps(lps) -> LpResults:
+def solve_lps(lps, keep=False) -> LpResults:
     """Solve the LPs, each with the result solve_lp gives it, bit for bit;
     see the module docstring for how they are batched."""
     starts = [_tableau(lp) for lp in lps]
@@ -542,10 +566,11 @@ def solve_lps(lps) -> LpResults:
     for members in groups.values():
         if len(members) > 1:
             sols = _solve_stack([lps[i] for i in members],
-                                [starts[i] for i in members])
+                                [starts[i] for i in members], keep)
         else:
             try:
-                sols = [_solve_alone(lps[members[0]], starts[members[0]])]
+                sols = [_solve_alone(lps[members[0]], starts[members[0]],
+                                     keep)]
             except NumericalBreakdown as exc:
                 sols = [exc]
         for i, sol in zip(members, sols):
@@ -553,9 +578,40 @@ def solve_lps(lps) -> LpResults:
     return LpResults(out)
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve the LP alone; see module docstring for conventions."""
-    return _solve_alone(lp, _tableau(lp))
+def solve_lp(lp: LinearProgram, keep=False) -> LpSolution:
+    """Solve the LP alone; see module docstring for conventions. With
+    keep, an optimal solution keeps its final state for relax."""
+    return _solve_alone(lp, _tableau(lp), keep)
+
+
+def relax(sol: LpSolution, rows) -> LpSolution:
+    """sol's LP with its inequality user rows `rows` relaxed, from
+    sol.final: each row's slack or surplus gets a negated copy, in the
+    place of a nonbasic artificial where there is one, and phase 2 runs
+    on. The result holds no duals. When no copy has a reduced cost below
+    -COST_TOL the basis stays optimal, and sol itself is returned."""
+    f = sol.final
+    if f.pricing.isdisjoint(rows):
+        return sol
+    start, (m, n) = f.start, f.shape   # n counts the rhs column
+    cols = [start.slack[i] for i in rows]
+    slots = np.setdiff1d(np.flatnonzero(start.art), f.basis)[:len(cols)]
+    if slots.size < len(cols):
+        slots = np.arange(n - 1, n - 1 + len(cols))
+    width = max(n, slots[-1] + 2)
+    tab, obj = np.zeros((m, width)), np.zeros(width)
+    r, c = np.divmod(f.nz, n)
+    tab[r, np.where(c < n - 1, c, width - 1)] = f.values
+    obj[:n - 1], obj[-1] = f.obj[:-1], f.obj[-1]
+    tab[:, slots], obj[slots] = -tab[:, cols], -obj[cols]
+    allowed = np.zeros(width - 1, dtype=bool)
+    allowed[:n - 1], allowed[slots] = ~start.art, True
+    basis = list(f.basis)
+    if _run_simplex(tab, obj, basis, allowed, 10 * (m + n)) == UNBOUNDED:
+        return LpSolution(UNBOUNDED, -math.inf, None, None)
+    out = _optimal(f.lp, start, tab, basis, obj)
+    out.duals = None
+    return out
 
 
 def write_cplex_lp(lp: LinearProgram) -> str:

@@ -1,21 +1,21 @@
 """Ground-truth effectiveness by re-solving.
 
-The definitions are operational: a set of scenario paths (or of
-stage-(t+1) realizations) is effective exactly when forcing it to zero
-probability in the relevant ambiguity sets strictly lowers the optimal
-value. This module builds those restricted problems and compares optimal
-values, so it can arbitrate the cheap classifier in effectiveness.py.
+A set of scenario paths (or of stage-(t+1) realizations) is effective
+exactly when forcing it to zero probability in the relevant ambiguity
+sets strictly lowers the optimal value. The restricted problem of a check
+is its baseline LP with the removed children's risk rows relaxed: the
+root LP for a path check, the parent's own LP for a realization check
+(the root LP at stage 2, else the parent's extraction LP, which fixes the
+grandparent's decision). A check is decided in three steps (_assess): a
+removal that empties an ambiguity set is infeasible, hence Effective,
+with no LP; a removal whose freed risk-row slacks do not price out in
+the baseline's final tableau keeps the baseline (lp.relax, no pivot); any
+other re-solves warm from that tableau with phase 2 alone.
 
-A check is decided in three steps (_assess). A removal that empties an
-ambiguity set is infeasible, hence Effective. Else, when the baseline
-LP's duals on every removed child's risk rows are exactly zero (kept by
-solve_extensive on SolveOutcome), the check is Ineffective with value
-equal to the baseline, and no LP is solved. Else the restricted problem
-is decided by its extensive root LP (the whole tree for a path
-assessment; the parent's subtree, with the grandparent's decision fixed,
-for a realization). Only that LP is solved, never the policy extraction
-of solve_extensive, whose policy an assessment does not need. An
-infeasible restricted LP marks the assessment infeasible.
+The baseline LPs of the latest solve_extensive are kept with it
+(solver.node_lp_state); a check on any other outcome, or with none,
+solves the baseline LPs it needs once. Warm values can differ from a
+cold solve of the restricted LP in the last digits.
 
 It also holds the label check that `drotree classify --oracle` runs:
 identified_labels lists the classifier's identified labels, and
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from .effectiveness import EFFECTIVE, INEFFECTIVE, UNIDENTIFIED, eff_tolerance
 from .errors import InstanceInfeasible, InvalidRemoval, NotSolved, NumericalBreakdown
-from .solver import (SolveOutcome, _solve_or_raise, build_extensive,
-                     check_removals)
+from .lp import relax
+from .solver import SolveOutcome, _checked, check_removals, node_lp_state
 from .tree import ScenarioTree
 
 # decreases between eff_tolerance and this multiple of it are flagged
@@ -87,36 +87,28 @@ def _verdict(value: float, baseline: float) -> tuple[float, str, bool]:
             effective and drop <= BORDERLINE_FACTOR * eps)
 
 
-def _assess(tree: ScenarioTree, removals, baseline: float, duals,
-            node: str | None = None, incoming=None) -> AssessmentResult:
-    """One assessment: the optimum of the (sub)tree at `node` (the whole
-    tree when None, else with the parent decision fixed at `incoming`)
-    with `removals` applied, judged against `baseline`. `duals` maps each
-    child to its risk-row duals in that LP without removals (empty when
-    unknown). Zero duals stay feasible for the restricted LP, which drops
-    those rows (rhs 0) and the s_c columns, so its optimum is the
-    baseline's; no tolerance, as a dual of 1e-17 is not zero."""
+def _assess(tree: ScenarioTree, removals, baseline: float, outcome,
+            node: str | None = None, incoming=None,
+            state=None) -> AssessmentResult:
+    """One assessment of the (sub)tree at `node` (the whole tree when
+    None) with `removals` applied, against `baseline`. Its baseline LP is
+    `state`, else node_lp_state's. Each removed child's s_c stays in the
+    relaxed LP, where it can only raise node values, so the optimum is
+    the restricted one."""
     try:
         removals = check_removals(tree, removals)
-        if all(c in duals and not any(duals[c])
-               for gone in removals.values() for c in gone):
-            value = baseline
-        else:
-            value = _restricted_value(tree, removals, node, incoming)
     except InstanceInfeasible:
         return AssessmentResult(node, math.inf, baseline, EFFECTIVE,
                                 infeasible=True)
+    sol, vm = state or node_lp_state(
+        tree, tree.root() if node is None else node, incoming, outcome)
+    res = relax(sol, [i for gone in removals.values() for c in gone
+                      for i in vm.risk_rows.get(c, ())])
+    value = baseline if res is sol else \
+        _checked(res, "restricted problem").objective_value
     value, label, borderline = _verdict(value, baseline)
     return AssessmentResult(node, value, baseline, label,
                             borderline=borderline)
-
-
-def _restricted_value(tree, removals, node, incoming) -> float:
-    """The optimum of the restricted extensive root LP; raises
-    InstanceInfeasible when the restriction leaves no feasible policy."""
-    lp, _ = build_extensive(tree, removals=removals, root=node,
-                            fixed_incoming=incoming)
-    return _solve_or_raise(lp, "restricted problem").objective_value
 
 
 def _group_by_parent(tree: ScenarioTree, ids) -> dict[str, frozenset]:
@@ -143,20 +135,16 @@ def assess_paths(tree: ScenarioTree, removal: RemovalSet,
     """Solve the path assessment problem: the same nested problem except
     that each affected last-stage ambiguity set has the removed leaves
     pinned to zero probability. Compares against the unrestricted
-    optimum, taken from `outcome` or, without one, from the extensive
-    root LP alone: a path assessment needs no policy. With an extensive
-    outcome, removed leaves whose root-LP risk-row duals are all zero are
-    certified Ineffective with value == baseline and no LP; without an
-    outcome, or with a Benders one, every feasible removal re-solves."""
+    optimum, taken from `outcome` or, without one, from the root LP: a
+    path assessment needs no policy."""
     _validate_paths(tree, removal)
     if outcome is None:
-        lp, _ = build_extensive(tree)
-        baseline = float(_solve_or_raise(lp, "instance").objective_value)
-        duals = {}
+        state = node_lp_state(tree, tree.root())
+        baseline = state[0].objective_value
     else:
-        baseline, duals = outcome.objective, outcome.root_duals
+        state, baseline = None, outcome.objective
     return _assess(tree, _group_by_parent(tree, removal.ids), baseline,
-                   duals)
+                   outcome, state=state)
 
 
 def assess_realizations(tree: ScenarioTree, removal: RemovalSet,
@@ -164,11 +152,7 @@ def assess_realizations(tree: ScenarioTree, removal: RemovalSet,
     """Conditional assessment: for each parent of a removed node, fix the
     incoming decision at the solved policy, re-solve that subtree with
     only the parent's own ambiguity set restricted, and compare against
-    the recorded node value. Keyed by parent id in file order. When the
-    parent's own LP in an extensive outcome (the root LP at stage 2, else
-    its extraction LP) has all-zero duals on the removed children's risk
-    rows, that parent's check is Ineffective with value == baseline and
-    solves no LP; a Benders outcome keeps no duals and always re-solves."""
+    the recorded node value. Keyed by parent id in file order."""
     if removal.kind != REALIZATIONS:
         raise InvalidRemoval(
             f"expected a {REALIZATIONS} removal, got {removal.kind}")
@@ -187,8 +171,8 @@ def assess_realizations(tree: ScenarioTree, removal: RemovalSet,
         if grand is not None and grand not in outcome.policy:
             raise NotSolved(f"no recorded decision for node {grand!r}")
         incoming = outcome.policy[grand] if grand is not None else None
-        results[parent] = _assess(tree, {parent: gone}, baseline,
-                                  outcome.parent_duals, parent, incoming)
+        results[parent] = _assess(tree, {parent: gone}, baseline, outcome,
+                                  parent, incoming)
     return results
 
 

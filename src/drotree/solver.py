@@ -9,7 +9,8 @@ Agreement between the two is the main correctness check for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,11 +49,16 @@ class SolveOutcome:
     passes: int = 0
     # proven lower bound on the optimum: Benders' last root LP value
     lower: float = -math.inf
-    # per child, the duals on its risk rows (VarMap.risk_rows) in the root
-    # LP and in its parent's own LP (the root LP at stage 2, else the
-    # parent's extraction LP); extensive only, in no JSON
-    root_duals: dict[str, list[float]] = field(default_factory=dict)
-    parent_duals: dict[str, list[float]] = field(default_factory=dict)
+
+
+# One outcome's solved LPs with their final states, for the oracle:
+# [weak reference to the outcome, its tree, {node: (LpSolution, VarMap)}].
+# Dropped with the outcome or when solve_extensive starts. Never pickled.
+_kept: list = []
+
+
+def _keep(outcome, tree, states) -> None:
+    _kept[:] = [weakref.ref(outcome, lambda _: _kept.clear()), tree, states]
 
 
 def check_removals(tree: ScenarioTree, removals) -> dict[str, frozenset]:
@@ -270,16 +276,22 @@ def evaluate_policy(tree: ScenarioTree, policy) -> dict[str, float]:
     q_values, _ = _evaluate(tree, policy)
     return q_values
 
+def _own_policy_check(tree, policy, root_id, fixed_incoming=None):
+    """_check_policy on a policy a solver produced itself: a failure is
+    the solve's, so it is a NumericalBreakdown."""
+    try:
+        _check_policy(tree, policy, root_id, fixed_incoming)
+    except InfeasiblePolicy as exc:
+        raise NumericalBreakdown(f"solved policy fails its check: {exc}") \
+            from exc
+
+
 def _checked(sol, what: str):
     if sol.status == INFEASIBLE:
         raise InstanceInfeasible(f"{what} is infeasible")
     if sol.status == UNBOUNDED:
         raise InstanceUnbounded(f"{what} is unbounded below")
     return sol
-
-
-def _solve_or_raise(lp: LinearProgram, what: str):
-    return _checked(solve_lp(lp), what)
 
 
 def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
@@ -292,37 +304,55 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
     fixed, which forces the recursion to hold at every node. The subtree
     LPs of one level go to one solve_lps call. The LP holds node values
     only as expressions, so q_values are computed bottom-up at that
-    policy. The outcome keeps each child's risk-row duals in the root LP
-    and in its parent's LP, which the oracle reads (oracle._assess).
-    """
+    policy. The root LP and each internal node's extraction LP stay in
+    _kept with their final states, for the oracle's warm re-solves."""
+    _kept.clear()
     lp, vm = build_extensive(tree)
-    sol = _solve_or_raise(lp, "instance")
+    sol = _checked(solve_lp(lp, keep=True), "instance")
     root_id = tree.root()
     policy: dict[str, np.ndarray] = {
         root_id: np.array([sol.primal[j] for j in vm.x[root_id]])
     }
-    parent_duals = _risk_duals(sol, vm, tree.children(root_id))
+    states = {root_id: (sol, vm)}
     for level in _levels(tree, root_id)[1:]:
         subs = [build_extensive(tree, root=c,
                                 fixed_incoming=policy[tree.parent(c)])
                 for c in level]
-        sols = solve_lps([sub_lp for sub_lp, _ in subs])
+        inner = bool(tree.children(level[0]))   # one stage per level
+        sols = solve_lps([sub_lp for sub_lp, _ in subs], keep=inner)
         for c, (_, sub_vm), sub_sol in zip(level, subs, sols):
             sub_sol = _checked(sub_sol, f"subtree at {c!r}")
             policy[c] = np.array([sub_sol.primal[j] for j in sub_vm.x[c]])
-            parent_duals.update(_risk_duals(sub_sol, sub_vm,
-                                            tree.children(c)))
-    _check_policy(tree, policy, root_id)
+            if inner:
+                states[c] = (sub_sol, sub_vm)
+    _own_policy_check(tree, policy, root_id)
     q_values, worst = _evaluate(tree, policy)
-    return SolveOutcome(float(sol.objective_value), policy, q_values, worst,
-                        "extensive",
-                        root_duals=_risk_duals(sol, vm, vm.risk_rows),
-                        parent_duals=parent_duals)
+    out = SolveOutcome(float(sol.objective_value), policy, q_values, worst,
+                       "extensive")
+    _keep(out, tree, states)
+    return out
 
 
-def _risk_duals(sol, vm: VarMap, kids) -> dict[str, list[float]]:
-    """Each child's duals on its risk rows in the solved LP that vm maps."""
-    return {c: sol.duals[vm.risk_rows.get(c, [])].tolist() for c in kids}
+def node_lp_state(tree: ScenarioTree, node: str, incoming=None,
+                  outcome: SolveOutcome | None = None):
+    """(LpSolution with its final state, VarMap) of node's subtree LP at
+    the parent decision `incoming` (the root LP at the root): the one
+    kept for `outcome` on `tree`, else solved here, and kept when an
+    outcome is given. Both are the same bits."""
+    states = None
+    if outcome is not None and _kept and _kept[0]() is outcome \
+            and _kept[1] is tree:
+        states = _kept[2]
+        if node in states:
+            return states[node]
+    lp, vm = build_extensive(tree, root=node, fixed_incoming=incoming)
+    what = "instance" if node == tree.root() else f"subtree at {node!r}"
+    got = _checked(solve_lp(lp, keep=True), what), vm
+    if outcome is not None:
+        if states is None:
+            _keep(outcome, tree, states := {})
+        states[node] = got
+    return got
 
 
 # nested Benders --------------------------------------------------------
@@ -515,6 +545,6 @@ def solve_benders(tree: ScenarioTree, tol: float = 1e-6,
     if best is None:
         raise InstanceInfeasible("no feasible pass completed")
     policy, q_values, worst = best
-    _check_policy(tree, policy, root_id, fixed_incoming)
+    _own_policy_check(tree, policy, root_id, fixed_incoming)
     return SolveOutcome(best_value, policy, q_values, worst, "benders",
                         gap=float(gap), passes=passes, lower=lower)

@@ -20,11 +20,19 @@ from .errors import MissingXiField, ParseError, ValidationError
 MALFORMED = (KeyError, TypeError, ValueError, OverflowError, AttributeError)
 
 
+def as_float(value) -> float:
+    """The one reader of a number field: a JSON number as a float. A
+    boolean, which float() would read as 0 or 1, or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def as_int(value) -> int:
-    """int(value) for an integer field, refusing a fractional number such
+    """as_float for an integer field, refusing a fractional number such
     as 2.5, which int() would truncate."""
-    n = int(value)
-    if isinstance(value, float) and n != value:
+    n = int(as_float(value))
+    if n != value:
         raise ValueError(f"{value!r} is not an integer")
     return n
 
@@ -56,13 +64,14 @@ class Coef:
 
     @staticmethod
     def parse(obj) -> "Coef":
-        if isinstance(obj, (int, float)):
-            coef = Coef.const(float(obj))
-        elif isinstance(obj, dict) and "xi" in obj:
-            coef = Coef(str(obj["xi"]), float(obj.get("scale", 1.0)),
-                        float(obj.get("offset", 0.0)))
+        if isinstance(obj, dict) and "xi" in obj:
+            coef = Coef(str(obj["xi"]), as_float(obj.get("scale", 1.0)),
+                        as_float(obj.get("offset", 0.0)))
         else:
-            raise ParseError(f"bad coefficient spec {obj!r}")
+            try:
+                coef = Coef.const(as_float(obj))
+            except TypeError:
+                raise ParseError(f"bad coefficient spec {obj!r}") from None
         if not (math.isfinite(coef.scale) and math.isfinite(coef.offset)):
             raise ValidationError(f"non-finite coefficient {obj!r}")
         return coef
@@ -130,7 +139,7 @@ def parse_template(obj, where: str) -> StageTemplate:
                 (Coef.parse(lo) if lo is not None else Coef.const(-math.inf),
                  Coef.parse(hi) if hi is not None else None)
                 for lo, hi in vb)
-    except MALFORMED as exc:
+    except (ParseError, *MALFORMED) as exc:
         raise ParseError(f"{where}: malformed template ({exc})") from exc
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, StageOutOfRange, UnknownNode, ValidationError
-from .stage import (MALFORMED, StageTemplate, as_int, materialize,
-                    parse_template, template_to_json)
+from .stage import (MALFORMED, StageTemplate, as_float, as_int,
+                    materialize, parse_template, template_to_json)
 from .tvrisk import PROB_SUM_TOL
 
 
@@ -221,7 +221,7 @@ def _field(obj: dict, key: str, convert):
 def from_dict(obj: dict) -> ScenarioTree:
     name = str(obj.get("name", "unnamed"))
     T = _field(obj, "stages", as_int)
-    gamma = _field(obj, "gamma", lambda gs: tuple(float(g) for g in gs))
+    gamma = _field(obj, "gamma", lambda gs: tuple(map(as_float, gs)))
     raw_nodes = _field(obj, "nodes", list)
     raw_templates = _field(obj, "stage_templates", list)
     nodes = []
@@ -231,8 +231,8 @@ def from_dict(obj: dict) -> ScenarioTree:
                 id=str(nd["id"]),
                 stage=as_int(nd["stage"]),
                 parent=None if nd.get("parent") is None else str(nd["parent"]),
-                q_cond=float(nd.get("q", 1.0)),
-                xi={str(k): float(v) for k, v in nd.get("xi", {}).items()},
+                q_cond=as_float(nd.get("q", 1.0)),
+                xi={str(k): as_float(v) for k, v in nd.get("xi", {}).items()},
             ))
         except MALFORMED as exc:
             raise ParseError(f"malformed node entry {nd!r}: {exc}") from exc

@@ -115,7 +115,7 @@ def exact_lp_certificate(lp: LinearProgram, sol: LpSolution) -> Fraction:
     Solves B z = b and B'y = c_B in Fractions, then asserts primal
     feasibility (z >= 0, basic artificials at 0) and dual feasibility
     (reduced costs >= 0 on every column but the artificials)."""
-    tab, _, cost, art, maps, _, _ = _tableau(lp)
+    tab, _, cost, art, maps = _tableau(lp)[:5]
     a, basis = tab[:, :-1], sol.basis
     exact = {}   # (row, column) -> Fraction of every nonzero entry
 

@@ -212,12 +212,13 @@ def _counting(calls, fn, *args, **kwargs):
     return fn(*args, **kwargs)
 
 
-def test_pooled_oracle_keeps_the_dual_certificates(tmp_path, monkeypatch,
-                                                   pool_sizes):
-    """Workers get the parent's solve through pickle, its risk-row duals
-    included: pooled and serial water reports are the same bytes, and
-    both solve the baseline's root LP and the 11 restricted LPs that no
-    zero dual decides."""
+def test_pooled_oracle_solves_each_baseline_lp_once_per_worker(
+        tmp_path, monkeypatch, pool_sizes):
+    """Pooled and serial water reports are the same bytes. Serial checks
+    re-solve warm from the LPs the solve kept, so only its root LP goes
+    through solve_lp. A worker's copy of the solve has no kept LPs, so
+    each of the two workers solves the baseline LPs its checks need once:
+    the root LP and the stage-2 subtree LPs, 9 in all."""
     inst = write_instance(tmp_path, gen_water_analog(0, gamma=0.95))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     calls = []
@@ -232,7 +233,8 @@ def test_pooled_oracle_keeps_the_dual_certificates(tmp_path, monkeypatch,
                    "--out", rep) == 0
         runs.append((open(rep, "rb").read(), len(calls)))
     assert pool_sizes == [2]
-    assert runs[0] == runs[1] and runs[0][1] == 12
+    assert runs[0][0] == runs[1][0]
+    assert (runs[0][1], runs[1][1]) == (1, 1 + 9)
 
 
 def test_pool_is_capped_by_items_and_cpus(tmp_path, monkeypatch, pool_sizes):
@@ -632,6 +634,28 @@ MALFORMED_FILES = {
     "self-list": (lambda b: b["stage_templates"][1]["rows"][0].update(
         self=[1.0]), "stage template 2"),
 }
+# a JSON boolean where a number belongs, in each kind of number field
+_T2, _ROW = ("stage_templates", 1), ("stage_templates", 1, "rows", 0)
+for name, where, key, section in (
+        ("stages", (), "stages", "'stages'"),
+        ("gamma", ("gamma",), 0, "'gamma'"),
+        ("node-stage", ("nodes", 1), "stage", "node entry"),
+        ("q", ("nodes", 1), "q", "node entry"),
+        ("xi", ("nodes", 1, "xi"), "d", "node entry"),
+        ("n_vars", _T2, "n_vars", "stage template 2"),
+        ("cost", (*_T2, "cost"), 0, "stage template 2"),
+        ("self", (*_ROW, "self"), "0", "stage template 2"),
+        ("link", (*_ROW, "link"), "0", "stage template 2"),
+        ("rhs", _ROW, "rhs", "stage template 2"),
+        ("scale", (*_ROW, "rhs"), "scale", "stage template 2"),
+        ("offset", (*_ROW, "rhs"), "offset", "stage template 2"),
+        ("lower", (*_T2, "var_bounds", 0), 0, "stage template 2"),
+        ("upper", (*_T2, "var_bounds", 0), 1, "stage template 2")):
+    def _set_true(blob, where=where, key=key):
+        for k in where:
+            blob = blob[k]
+        blob[key] = True
+    MALFORMED_FILES[f"{name}-true"] = (_set_true, section)
 
 
 @pytest.mark.parametrize("case", [*MALFORMED_FILES, "latin-1"])
@@ -718,3 +742,31 @@ def test_overflowing_coefficient_is_an_input_error(tmp_path, capsys, case,
     assert captured.out == ""
     assert _one_error_line(captured.err)
     assert captured.err.startswith(f"error: node {node!r}: coefficient 1e+308")
+
+
+def test_non_finite_optimum_exits_5(tmp_path, capsys):
+    """A stage-2 lower bound of xi + 1e308 drives the root LP to an
+    optimal basis whose objective is inf: a breakdown, exit 5 with one
+    error line, for either solver and for a path assessment."""
+    blob = to_dict(gen_random(3, T=3, branching=2))
+    blob["stage_templates"][1]["var_bounds"][1][0] = {"xi": "d0",
+                                                      "offset": 1e308}
+    inst = tmp_path / "f1.json"
+    inst.write_text(json.dumps(blob))
+    for argv in (["solve"], ["solve", "--solver", "benders"],
+                 ["assess", "--paths", "n3"]):
+        assert run(argv[0], str(inst), *argv[1:]) == 5
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "optimal objective inf" in err
+
+
+def test_own_policy_failing_its_check_exits_5(tmp_path, capsys,
+                                              monkeypatch):
+    """A policy the solver produced that fails the feasibility check is
+    the solve's failure (exit 5), not an input error (exit 2)."""
+    monkeypatch.setattr(solver_module, "POLICY_FEAS_TOL", -1.0)
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0]))
+    for solver in ("extensive", "benders"):
+        assert run("solve", inst, "--solver", solver) == 5
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "solved policy fails" in err

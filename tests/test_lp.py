@@ -8,7 +8,7 @@ from drotree import lp as lpmod
 import drotree.solver as solver_module
 from drotree.gen import gen_random, gen_water_analog
 from drotree.errors import NumericalBreakdown
-from drotree.lp import (LinearProgram, solve_lp, solve_lps,
+from drotree.lp import (LinearProgram, relax, solve_lp, solve_lps,
                         OPTIMAL, INFEASIBLE, UNBOUNDED, write_cplex_lp)
 from drotree.oracle import (PATHS, REALIZATIONS, RemovalSet, assess_paths,
                             assess_realizations)
@@ -371,12 +371,12 @@ def test_restricted_pivot_update_is_bit_identical(monkeypatch):
 
 
 def test_sparse_gate_takes_only_root_lps(monkeypatch):
-    """On water the extensive root LPs are above the gate: the solve's,
-    and the restricted ones that decide a path assessment and a
-    realization assessment at the root. Every other LP (policy
-    extraction, Benders) is below it, so the small LPs keep the dense
-    update. The two assessments are Effective ones, which the baseline's
-    zero duals cannot decide, so each solves its restricted LP."""
+    """On water the extensive root LP is above the gate. Every other LP
+    (policy extraction, Benders) is below it, so the small LPs keep the
+    dense update. A path assessment and a realization assessment at the
+    root write no tableau: both re-solve warm from the kept root LP, and
+    their pivots, on a tableau above the gate, take the restricted
+    update. The two are Effective ones, so they do pivot."""
     sizes = []
     tableau = lpmod._tableau
 
@@ -394,11 +394,64 @@ def test_sparse_gate_takes_only_root_lps(monkeypatch):
     solve_benders(tree)
     assert sizes and max(sizes) < gate
     sizes.clear()
+    restricted = []
+    ix = np.ix_
+    monkeypatch.setattr(np, "ix_", lambda *a: restricted.append(a) or ix(*a))
     leaf, child = "LHD-LHD", "LHD"
     assess_paths(tree, RemovalSet(PATHS, frozenset({leaf})), outcome)
     assess_realizations(tree, RemovalSet(REALIZATIONS, frozenset({child})),
                         outcome)
-    assert len(sizes) == 2 and min(sizes) >= gate
+    assert sizes == [] and restricted
+
+
+def _without_rows(lp, rows):
+    out = LinearProgram(lp.n_vars, lp.objective, lower=lp.lower,
+                        upper=lp.upper)
+    out.rows = [row for i, row in enumerate(lp.rows) if i not in rows]
+    return out
+
+
+def test_relax_matches_the_lp_without_its_rows():
+    """relax on random LPs, feasible ones and the corpus's bounded ones:
+    the status and, within 1e-9, the optimum of the LP with those rows
+    deleted and solved cold. A relaxation that takes no pivot returns
+    the solution itself."""
+    rng = np.random.default_rng(23)
+    same = moved = 0
+    for _ in range(150):
+        lp = (_random_feasible_lp(rng) if rng.random() < 0.5
+              else _random_lp(rng, feasible=True))
+        sol = solve_lp(lp, keep=True)
+        ineq = [i for i, row in enumerate(lp.rows) if row.sense != "="]
+        if sol.status != OPTIMAL or not ineq:
+            continue
+        rows = sorted(rng.choice(ineq, size=rng.integers(1, len(ineq) + 1),
+                                 replace=False).tolist())
+        got, want = relax(sol, rows), solve_lp(_without_rows(lp, rows))
+        assert got.status == want.status
+        same += got is sol
+        if want.status == OPTIMAL:
+            moved += got is not sol
+            scale = max(1.0, abs(want.objective_value))
+            assert abs(got.objective_value - want.objective_value) <= \
+                1e-9 * scale
+    assert same > 5 and moved > 5
+
+
+def test_optimum_that_is_not_finite_breaks_down():
+    """An LP that ends optimal with an objective of inf raises, alone and
+    as one member of a stack, whose other members keep their results."""
+    big = LinearProgram(1, [10.0], lower=np.array([1e308]))
+    big.add_row({0: 1.0}, "<=", 1e308)
+    small = LinearProgram(1, [10.0], lower=np.array([1.0]))
+    small.add_row({0: 1.0}, "<=", 2.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalBreakdown, match="optimal objective inf"):
+            solve_lp(big)
+        results = solve_lps([small, big])
+    assert results[0].objective_value == 10.0
+    with pytest.raises(NumericalBreakdown, match="optimal objective inf"):
+        results[1]
 
 
 def _same_solutions(batched, alone):

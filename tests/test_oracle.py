@@ -1,9 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import drotree.lp as lpmod
 import drotree.oracle as oracle
 import drotree.solver as solver_module
 from drotree.effectiveness import (
@@ -36,7 +38,7 @@ from drotree.oracle import (
 )
 from drotree.solver import (SolveOutcome, build_extensive, check_removals,
                             solve_benders, solve_extensive)
-from drotree.tree import with_uniform_gamma
+from drotree.tree import ScenarioTree, with_uniform_gamma
 from drotree.tvrisk import FiniteDist, worst_case_expectation
 
 from helpers import (leaf_value_tree, policy_value_under_removal,
@@ -278,28 +280,6 @@ def test_assessment_json_shape():
     assert blob["verdict"] == EFFECTIVE
 
 
-def test_assessments_are_the_restricted_root_lp_bit_for_bit():
-    tree = with_uniform_gamma(gen_random(seed=11, T=3, branching=3), 0.4)
-    out = solve_extensive(tree)
-    leaf = tree.leaves()[0]
-    for node in (tree.stage_nodes(2)[0], tree.stage_nodes(3)[0]):
-        parent = tree.parent(node)
-        grand = tree.parent(parent)
-        want = solve_lp(build_extensive(
-            tree, removals={parent: {node}}, root=parent,
-            fixed_incoming=None if grand is None else out.policy[grand])[0])
-        got = assess_realizations(tree, reals(node), out)[parent]
-        assert got.value == want.objective_value
-        assert (got.verdict, got.borderline) == _verdict(
-            want.objective_value, got.baseline)[1:]
-    want = solve_lp(build_extensive(
-        tree, removals={tree.parent(leaf): {leaf}})[0])
-    got = assess_paths(tree, paths(leaf), out)
-    assert got.value == want.objective_value
-    assert (got.verdict, got.borderline) == _verdict(
-        want.objective_value, got.baseline)[1:]
-
-
 def test_check_labels_records_each_identified_label():
     # the knife edge of the c2_only rule: it calls l1 ineffective, yet
     # removing l1 drops the value 2.8 -> 2.6
@@ -328,45 +308,62 @@ def test_check_labels_records_each_identified_label():
 
 def _every_check(tree, out):
     """One realization check per non-root node and one path check per
-    leaf: (removals, root, incoming, result, LPs the check solved)."""
-    solved = []
-    restricted = oracle._restricted_value
+    leaf: (removals, root, incoming, result, pivots, phase-1 runs), the
+    last two counted over the check."""
+    counts = [0, 0]
+    pivot, phase1_failed = lpmod._pivot, lpmod._phase1_failed
 
-    def spy(*args):
-        solved.append(args)
-        return restricted(*args)
+    def counting_pivot(*args):
+        counts[0] += 1
+        return pivot(*args)
+
+    def counting_phase1(*args):
+        counts[1] += 1
+        return phase1_failed(*args)
+
+    def restricted_build(tree, removals=None, **kwargs):
+        assert not removals, "an oracle check built a restricted LP"
+        return build_extensive(tree, **kwargs)
 
     checks = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_restricted_value", spy)
+        mp.setattr(lpmod, "_pivot", counting_pivot)
+        mp.setattr(lpmod, "_phase1_failed", counting_phase1)
+        mp.setattr(solver_module, "build_extensive", restricted_build)
         for nid in [n.id for n in tree.nodes][1:]:
-            parent, n = tree.parent(nid), len(solved)
+            parent, before = tree.parent(nid), list(counts)
             grand = tree.parent(parent)
             res = assess_realizations(tree, reals(nid), out)[parent]
             checks.append(({parent: {nid}}, parent,
                            None if grand is None else out.policy[grand],
-                           res, len(solved) - n))
+                           res, counts[0] - before[0], counts[1] - before[1]))
         for leaf in tree.leaves():
-            n = len(solved)
+            before = list(counts)
             res = assess_paths(tree, paths(leaf), out)
             checks.append(({tree.parent(leaf): {leaf}}, None, None, res,
-                           len(solved) - n))
+                           counts[0] - before[0], counts[1] - before[1]))
     return checks
+
+
+def _cold(tree, removals, root, incoming):
+    """The restricted LP of a check, built and solved from scratch."""
+    return solve_lp(build_extensive(tree, removals=removals, root=root,
+                                    fixed_incoming=incoming)[0])
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.floats(0.1, 0.9))
-@example(1, 3, 0.5)   # 6 of its 21 checks are certified
+@example(1, 3, 0.5)   # 7 of its 21 checks keep the basis, 2 are empty
 def test_property_certified_checks_match_the_restricted_lp(seed, branching,
                                                            gamma):
-    """A check decided with no LP either empties its ball (infeasible,
-    Effective) or has all-zero baseline duals on its removed rows; then the
-    restricted LP solved directly has the baseline's verdict and lies
-    within eff_tolerance of the baseline."""
+    """A check that takes no pivot either empties its ball (infeasible,
+    Effective) or keeps the baseline's optimal basis; then the restricted
+    LP solved from scratch has the baseline's verdict and lies within
+    eff_tolerance of the baseline."""
     tree = gen_random(seed, T=3, branching=branching, gamma=gamma)
     out = solve_extensive(tree)
-    for removals, root, incoming, res, n_lps in _every_check(tree, out):
-        if n_lps:
+    for removals, root, incoming, res, pivots, _ in _every_check(tree, out):
+        if pivots:
             continue
         try:
             check_removals(tree, removals)
@@ -375,8 +372,7 @@ def test_property_certified_checks_match_the_restricted_lp(seed, branching,
             continue
         assert (res.value, res.verdict, res.infeasible, res.borderline) == (
             res.baseline, INEFFECTIVE, False, False)
-        want = solve_lp(build_extensive(tree, removals=removals, root=root,
-                                        fixed_incoming=incoming)[0])
+        want = _cold(tree, removals, root, incoming)
         assert want.status == OPTIMAL
         assert _verdict(want.objective_value, res.baseline)[1:] == (
             INEFFECTIVE, False)
@@ -384,35 +380,116 @@ def test_property_certified_checks_match_the_restricted_lp(seed, branching,
             res.baseline)
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(st.none(), st.tuples(st.integers(0, 10**6),
+                                      st.sampled_from([2, 3]),
+                                      st.floats(0.1, 0.9))))
+def test_property_warm_checks_match_the_cold_restricted_lp(spec):
+    """Every check on water (spec None) or a gen_random tree re-solves
+    warm, with no phase 1 and no restricted LP built: its value is the
+    cold restricted LP's within 1e-12 relative (the baseline's when it
+    takes no pivot), with the same verdict and flags. Checks against a
+    copy of the outcome, which has no kept states, solve their own
+    baseline LPs and give the same bits."""
+    tree = (gen_water_analog(0, gamma=0.95) if spec is None
+            else gen_random(spec[0], T=3, branching=spec[1], gamma=spec[2]))
+    out = solve_extensive(tree)
+    warm = _every_check(tree, out)
+    fresh = _every_check(tree, copy.copy(out))
+    for (removals, root, incoming, res, _, phase1), again in zip(warm, fresh):
+        assert phase1 == 0
+        assert again[3] == res
+        if res.infeasible:
+            continue
+        want = _cold(tree, removals, root, incoming).objective_value
+        assert abs(res.value - want) <= 1e-12 * max(1.0, abs(want))
+        assert _verdict(want, res.baseline)[1:] == (res.verdict,
+                                                    res.borderline)
+    # the copy's checks solve each baseline LP they need once
+    assert sum(check[5] for check in fresh) == _baseline_lps(tree, fresh)
+
+
+def _baseline_lps(tree, checks) -> int:
+    """How many baseline LPs the checks that empty no ball need: one per
+    node whose LP they re-solve, the root's for a path check."""
+    return len({root or tree.root()
+                for _, root, _, res, _, _ in checks if not res.infeasible})
+
+
 def test_benders_outcome_keeps_resolving():
-    """A Benders outcome records no duals, so every check that does not
-    empty its ball solves its restricted LP."""
+    """A Benders outcome has no kept states, so its checks solve their
+    own baseline LPs, each once, and re-solve warm from them."""
     tree = with_uniform_gamma(gen_random(seed=11, T=3, branching=3), 0.4)
     ben = solve_benders(tree)
-    assert ben.root_duals == {} and ben.parent_duals == {}
-    for _, _, _, res, n_lps in _every_check(tree, ben):
-        assert n_lps == (0 if res.infeasible else 1)
+    checks = _every_check(tree, ben)
+    assert sum(phase1 for *_, phase1 in checks) == \
+        _baseline_lps(tree, checks) == 1 + len(tree.stage_nodes(2))
+    for removals, root, incoming, res, _, _ in checks:
+        if not res.infeasible:
+            want = _cold(tree, removals, root, incoming).objective_value
+            assert _verdict(want, res.baseline)[1:] == (res.verdict,
+                                                        res.borderline)
 
 
-def test_water_labels_solve_an_lp_only_where_no_dual_certifies(monkeypatch):
-    """Of water's 136 identified labels, 125 are decided by zero baseline
-    duals with no LP; each of the other 11 solves one."""
+def test_water_labels_are_checked_warm():
+    """Water's 136 identified labels are checked with no LP solved: 34
+    pivots in all, against 641 over the 11 restricted LPs that zero
+    duals could not decide; a check with no pivot reports the
+    baseline."""
     tree = gen_water_analog(0, gamma=0.95)
     out = solve_extensive(tree)
     cond = classify_tree(tree, out)
     items = identified_labels(cond, classify_paths(tree, out, cond=cond))
-    calls = []
-    solve = solver_module.solve_lp
-    monkeypatch.setattr(solver_module, "solve_lp",
-                        lambda lp: calls.append(lp) or solve(lp))
-    n_lps = []
-    for item in items:
-        n = len(calls)
-        (rec,) = check_labels(tree, out, [item])
-        assert rec["agree"], item
-        n_lps.append(len(calls) - n)
-        if not n_lps[-1]:
-            assert (rec["verdict"], rec["value"]) == (INEFFECTIVE,
-                                                      rec["baseline"])
     assert len(items) == 136
-    assert (n_lps.count(0), n_lps.count(1)) == (125, 11)
+    checks = {("cond" if root else "path", next(iter(*removals.values()))):
+              (res, pivots, phase1)
+              for removals, root, _, res, pivots, phase1
+              in _every_check(tree, out)}
+    assert sum(checks[kind, nid][1] for kind, nid, _ in items) == 34
+    for kind, nid, label in items:
+        res, pivots, phase1 = checks[kind, nid]
+        assert res.verdict == label and phase1 == 0, (kind, nid)
+        if not pivots:
+            assert (res.verdict, res.value) == (INEFFECTIVE, res.baseline)
+
+
+def _siblings_shuffled(tree, rnd):
+    """The same tree with each node's children listed in another order."""
+    key = {n.id: rnd.random() for n in tree.nodes}
+    nodes = sorted(tree.nodes, key=lambda n: (n.stage, key[n.id]))
+    return ScenarioTree(tree.name, tree.T, tuple(nodes), tree.gamma,
+                        tree.stage_templates, dict(tree.meta))
+
+
+def _everything(tree):
+    """Objective, node values, labels, and every check's verdict and
+    flags, each keyed by node id."""
+    out = solve_extensive(tree)
+    cond = classify_tree(tree, out)
+    labels = {("cond", nid): cl.label for nid, cl in cond.items()}
+    labels.update((("path", p.leaf), p.label)
+                  for p in classify_paths(tree, out, cond=cond))
+    checks = {(root is None, next(iter(*removals.values()))):
+              (res.verdict, res.infeasible, res.borderline)
+              for removals, root, _, res, _, _ in _every_check(tree, out)}
+    return out, labels, checks
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(st.none(), st.tuples(st.integers(0, 10**6),
+                                      st.sampled_from([2, 3]),
+                                      st.floats(0.1, 0.9))),
+       st.randoms(use_true_random=False))
+def test_property_sibling_order_changes_nothing(spec, rnd):
+    """Listing siblings in another order leaves the objective and every
+    node value within 1e-9 relative, and every label, oracle verdict and
+    flag as they were, on water (spec None) and gen_random trees."""
+    tree = (gen_water_analog(0, gamma=0.95) if spec is None
+            else gen_random(spec[0], T=3, branching=spec[1], gamma=spec[2]))
+    (out, labels, checks), (out2, labels2, checks2) = (
+        _everything(t) for t in (tree, _siblings_shuffled(tree, rnd)))
+    for nid, v in out.q_values.items():
+        assert abs(out2.q_values[nid] - v) <= 1e-9 * max(1.0, abs(v)), nid
+    assert abs(out2.objective - out.objective) <= 1e-9 * max(
+        1.0, abs(out.objective))
+    assert labels2 == labels and checks2 == checks

@@ -33,6 +33,20 @@ def test_identification_rate_batch_agrees_with_the_oracle():
     assert disagreements == 0
 
 
+def test_identification_rate_exits_1_on_a_disagreement(monkeypatch, capsys):
+    script = load_script("identification_rate")
+    argv = ["--instances", "1", "--gammas", "0.5"]
+    assert script.main(argv) == 0
+    check = script.check_labels
+
+    def flipped(*args):
+        return [dict(r, agree=False) for r in check(*args)]
+
+    monkeypatch.setattr(script, "check_labels", flipped)
+    assert script.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1].split()[3] != "0"
+
+
 def test_water_sweep_writes_the_csv(tmp_path, capsys):
     load_script("water_sweep").main(["--points", "3",
                                      "--out-dir", str(tmp_path)])

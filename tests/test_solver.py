@@ -469,7 +469,8 @@ def test_solvers_batched_match_one_at_a_time(tree, monkeypatch):
         with monkeypatch.context() as mp:
             if one_at_a_time:
                 mp.setattr(solver_module, "solve_lps",
-                           lambda lps: [solve_lp(lp) for lp in lps])
+                           lambda lps, keep=False: [solve_lp(lp, keep)
+                                                    for lp in lps])
             runs.append([_outcome_bits(solve(tree)) for solve in
                          (solve_benders, solve_extensive)])
     assert runs[0] == runs[1]
