@@ -4,7 +4,7 @@ Runs 293 commands in-process through drotree.cli.main, on the water
 analog (seed 0, gamma 0.95) and on the random instances 7,3,2 / 3,3,3 /
 5,4,2 / 11,3,4 / 21,2,4. Per instance: `gen`; `solve` with each solver
 and with --dump-lp; `classify` under both --c2-rule values, once with
---dot and once with --oracle --jobs 1; `sweep --gamma 0:1:0.25 --jobs 1`;
+--dot and once with --oracle; `sweep --gamma 0:1:0.25 --jobs 1`;
 `assess` for every leaf (--paths) and every non-root node
 (--realizations).
 
@@ -78,8 +78,7 @@ def instance_commands(inst: str):
     for rule in ("c1_plus_c2", "c2_only"):
         yield ["classify", inst, "--c2-rule", rule, "--dot", "x.dot"], \
             ("x.dot",)
-        yield ["classify", inst, "--c2-rule", rule, "--oracle",
-               "--jobs", "1"], ()
+        yield ["classify", inst, "--c2-rule", rule, "--oracle"], ()
     yield ["sweep", inst, "--gamma", "0:1:0.25", "--jobs", "1"], ()
     tree = load_instance(inst)
     for leaf in tree.leaves():

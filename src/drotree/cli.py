@@ -164,7 +164,7 @@ def _cmd_solve(args) -> int:
 
 def _chunks(seq, n):
     """Deal seq out to at most n workers in strides, so a run of costly
-    items (an oracle list's path checks) is shared out; _merge undoes it."""
+    neighbouring items is shared out; _merge undoes it."""
     return [seq[k::n] for k in range(min(n, len(seq)))]
 
 
@@ -175,16 +175,16 @@ def _merge(parts):
     return [parts[i % n][i // n] for i in range(sum(map(len, parts)))]
 
 
-def _map_items(fn, tree, args, items, jobs):
-    """fn(tree, *args, items), which returns one entry per item. With
-    more than one worker (at most jobs, the item count and the cpu
-    count), the items are dealt out to worker processes, which each get
-    the parent's tree and args (such as the parent's solve)."""
+def _map_items(fn, tree, items, jobs):
+    """fn(tree, items), which returns one entry per item. With more than
+    one worker (at most jobs, the item count and the cpu count), the
+    items are dealt out to worker processes, which each get the parent's
+    tree."""
     n = min(jobs, len(items), os.cpu_count() or 1)
     if n <= 1:
-        return fn(tree, *args, items)
+        return fn(tree, items)
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return _merge(pool.map(functools.partial(fn, tree, *args),
+        return _merge(pool.map(functools.partial(fn, tree),
                                _chunks(items, n)))
 
 
@@ -203,9 +203,7 @@ def _cmd_classify(args) -> int:
 
     disagreements = 0
     if args.oracle:
-        records = _map_items(check_labels, tree, (out,),
-                             identified_labels(cond, paths),
-                             _resolve_jobs(args.jobs))
+        records = check_labels(tree, out, identified_labels(cond, paths))
         disagreements = sum(1 for r in records if not r["agree"])
         rep["oracle"] = {
             "n_checked": len(records),
@@ -300,7 +298,7 @@ def _sweep_rows(tree, gammas) -> list[str]:
 def _cmd_sweep(args) -> int:
     tree = load_instance(args.instance)
     grid = _parse_grid(args.gamma)
-    rows = _map_items(_sweep_rows, tree, (), grid, _resolve_jobs(args.jobs))
+    rows = _map_items(_sweep_rows, tree, grid, _resolve_jobs(args.jobs))
     header = "gamma,objective,n_effective_paths,n_ineffective,n_unidentified"
     _emit("\n".join([header, *rows]) + "\n", args.out)
     return 0
@@ -388,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "quantile (default c1_plus_c2)")
     cp.add_argument("--out", help="write report JSON here (default stdout)")
     cp.add_argument("--dot", help="write a graphviz rendering here")
-    cp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes for oracle checks "
-                         "(default: DROTREE_JOBS or cpu count)")
     cp.set_defaults(func=_cmd_classify)
 
     ap = sub.add_parser("assess", help="re-solve with removals")

@@ -589,12 +589,15 @@ def relax(sol: LpSolution, rows) -> LpSolution:
     sol.final: each row's slack or surplus gets a negated copy, in the
     place of a nonbasic artificial where there is one, and phase 2 runs
     on. The result holds no duals. When no copy has a reduced cost below
-    -COST_TOL the basis stays optimal, and sol itself is returned."""
+    -COST_TOL the basis stays optimal, and sol itself is returned. An
+    equality row has no slack to free, and is a ValueError."""
     f = sol.final
-    if f.pricing.isdisjoint(rows):
-        return sol
     start, (m, n) = f.start, f.shape   # n counts the rhs column
     cols = [start.slack[i] for i in rows]
+    if -1 in cols:
+        raise ValueError("relax takes inequality rows only")
+    if f.pricing.isdisjoint(rows):
+        return sol
     slots = np.setdiff1d(np.flatnonzero(start.art), f.basis)[:len(cols)]
     if slots.size < len(cols):
         slots = np.arange(n - 1, n - 1 + len(cols))

@@ -12,10 +12,11 @@ with no LP; a removal whose freed risk-row slacks do not price out in
 the baseline's final tableau keeps the baseline (lp.relax, no pivot); any
 other re-solves warm from that tableau with phase 2 alone.
 
-The baseline LPs of the latest solve_extensive are kept with it
-(solver.node_lp_state); a check on any other outcome, or with none,
-solves the baseline LPs it needs once. Warm values can differ from a
-cold solve of the restricted LP in the last digits.
+The baseline LPs live on the outcome (SolveOutcome.states): a
+solve_extensive outcome brings them, and a check on any other outcome,
+or with none, solves the ones it needs once (solver.node_lp_state).
+Warm values can differ from a cold solve of the restricted LP in the
+last digits.
 
 It also holds the label check that `drotree classify --oracle` runs:
 identified_labels lists the classifier's identified labels, and

@@ -9,8 +9,7 @@ Agreement between the two is the main correctness check for both.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,16 +48,9 @@ class SolveOutcome:
     passes: int = 0
     # proven lower bound on the optimum: Benders' last root LP value
     lower: float = -math.inf
-
-
-# One outcome's solved LPs with their final states, for the oracle:
-# [weak reference to the outcome, its tree, {node: (LpSolution, VarMap)}].
-# Dropped with the outcome or when solve_extensive starts. Never pickled.
-_kept: list = []
-
-
-def _keep(outcome, tree, states) -> None:
-    _kept[:] = [weakref.ref(outcome, lambda _: _kept.clear()), tree, states]
+    # baseline LPs solved with their final states, for the oracle's warm
+    # re-solves: {node: (LpSolution, VarMap)}, living as long as the outcome
+    states: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def check_removals(tree: ScenarioTree, removals) -> dict[str, frozenset]:
@@ -97,7 +89,8 @@ def _stage_rows(nlp, x, parent_x=None, incoming=None):
     """One node's template rows as (coefs, sense, rhs), its variable j at
     column x[j]. A link to the parent decision goes to the parent's
     columns parent_x when given, else moves into the rhs at the fixed
-    parent decision `incoming`."""
+    parent decision `incoming`; an rhs that is then not finite is a
+    NumericalBreakdown."""
     for self_c, link_c, sense, rhs in nlp.rows:
         coefs = {x[j]: a for j, a in self_c.items() if a != 0.0}
         for j, a in link_c.items():
@@ -105,6 +98,9 @@ def _stage_rows(nlp, x, parent_x=None, incoming=None):
                 rhs -= a * float(incoming[j])
             elif a != 0.0:
                 coefs[parent_x[j]] = coefs.get(parent_x[j], 0.0) + a
+        if not math.isfinite(rhs):
+            raise NumericalBreakdown(
+                f"row rhs {rhs!r} is not finite at the parent decision")
         yield coefs, sense, rhs
 
 
@@ -304,9 +300,9 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
     fixed, which forces the recursion to hold at every node. The subtree
     LPs of one level go to one solve_lps call. The LP holds node values
     only as expressions, so q_values are computed bottom-up at that
-    policy. The root LP and each internal node's extraction LP stay in
-    _kept with their final states, for the oracle's warm re-solves."""
-    _kept.clear()
+    policy. The root LP and each internal node's extraction LP, with
+    their final states, stay on the outcome (SolveOutcome.states) for
+    the oracle's warm re-solves."""
     lp, vm = build_extensive(tree)
     sol = _checked(solve_lp(lp, keep=True), "instance")
     root_id = tree.root()
@@ -327,31 +323,23 @@ def solve_extensive(tree: ScenarioTree) -> SolveOutcome:
                 states[c] = (sub_sol, sub_vm)
     _own_policy_check(tree, policy, root_id)
     q_values, worst = _evaluate(tree, policy)
-    out = SolveOutcome(float(sol.objective_value), policy, q_values, worst,
-                       "extensive")
-    _keep(out, tree, states)
-    return out
+    return SolveOutcome(float(sol.objective_value), policy, q_values, worst,
+                        "extensive", states=states)
 
 
 def node_lp_state(tree: ScenarioTree, node: str, incoming=None,
                   outcome: SolveOutcome | None = None):
     """(LpSolution with its final state, VarMap) of node's subtree LP at
-    the parent decision `incoming` (the root LP at the root): the one
-    kept for `outcome` on `tree`, else solved here, and kept when an
-    outcome is given. Both are the same bits."""
-    states = None
-    if outcome is not None and _kept and _kept[0]() is outcome \
-            and _kept[1] is tree:
-        states = _kept[2]
-        if node in states:
-            return states[node]
+    the parent decision `incoming` (the root LP at the root): the one in
+    `outcome`'s states, else solved here and, when an outcome is given,
+    stored in its states. Both are the same bits."""
+    if outcome is not None and node in outcome.states:
+        return outcome.states[node]
     lp, vm = build_extensive(tree, root=node, fixed_incoming=incoming)
     what = "instance" if node == tree.root() else f"subtree at {node!r}"
     got = _checked(solve_lp(lp, keep=True), what), vm
     if outcome is not None:
-        if states is None:
-            _keep(outcome, tree, states := {})
-        states[node] = got
+        outcome.states[node] = got
     return got
 
 

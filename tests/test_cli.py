@@ -11,8 +11,7 @@ import drotree.effectiveness as effectiveness
 import drotree.solver as solver_module
 from drotree.cli import dump_json, format_float, main
 from drotree.errors import NumericalBreakdown, ParseError
-from drotree.gen import gen_random, gen_water_analog
-from drotree.oracle import check_labels
+from drotree.gen import gen_random
 from drotree.solver import solve_benders, solve_extensive
 from drotree.tree import load_instance, to_dict
 
@@ -113,56 +112,18 @@ def test_classify_oracle_agreement(tmp_path):
     inst = str(tmp_path / "r.json")
     run("gen", "--random", "9,3,2", "--out", inst)
     rep = str(tmp_path / "rep.json")
-    assert run("classify", inst, "--oracle", "--strict", "--jobs", "1",
-               "--out", rep) == 0
+    assert run("classify", inst, "--oracle", "--strict", "--out", rep) == 0
     blob = json.loads(open(rep).read())
     assert blob["oracle"]["n_disagreements"] == 0
     assert blob["oracle"]["n_checked"] > 0
-
-
-def test_classify_oracle_jobs_match_serial(tmp_path, monkeypatch):
-    rand = str(tmp_path / "r.json")
-    run("gen", "--random", "9,3,2", "--out", rand)
-    # c2_only on this tree disagrees with the oracle, so the report
-    # carries assessment values
-    knife = write_instance(
-        tmp_path, leaf_value_tree([1.0, 2.0, 3.0], q=[0.2, 0.5, 0.3]), "k.json")
-    for inst, rule in ((rand, "c1_plus_c2"), (knife, "c2_only")):
-        reps = []
-        for jobs in ("1", "2"):
-            rep = str(tmp_path / f"rep{jobs}.json")
-            run("classify", inst, "--oracle", "--c2-rule", rule,
-                "--jobs", jobs, "--out", rep)
-            reps.append(open(rep, "rb").read())
-        assert reps[0] == reps[1]
-
-    # workers take the parent's tree and solve instead of loading and
-    # re-solving the instance
-    tree = load_instance(knife)
-    out = solve_extensive(tree)
-    items = [("cond", "l1", "Ineffective"), ("path", "l1", "Ineffective")]
-    want = check_labels(tree, out, items)
-
-    def no_resolve(*args, **kwargs):
-        raise AssertionError("worker re-solved the baseline")
-
-    monkeypatch.setattr(cli, "solve_extensive", no_resolve)
-    monkeypatch.setattr(cli, "load_instance", no_resolve)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert cli._map_items(check_labels, tree, (out,), items, 2) == want
 
 
 def test_workers_label_the_instance_the_parent_read(tmp_path, monkeypatch,
                                                     pool_sizes):
     inst = tmp_path / "r.json"
     run("gen", "--random", "9,3,2", "--out", str(inst))
-    original = inst.read_bytes()
-    commands = (["sweep", str(inst), "--gamma", "0:1:0.25"],
-                ["classify", str(inst), "--oracle"])
-    want = []
-    for cmd in commands:
-        assert run(*cmd, "--jobs", "1", "--out", str(tmp_path / "a")) == 0
-        want.append((tmp_path / "a").read_bytes())
+    cmd = ["sweep", str(inst), "--gamma", "0:1:0.25"]
+    assert run(*cmd, "--jobs", "1", "--out", str(tmp_path / "a")) == 0
 
     def load_then_rewrite(path):
         tree = load_instance(path)
@@ -171,12 +132,11 @@ def test_workers_label_the_instance_the_parent_read(tmp_path, monkeypatch,
 
     monkeypatch.setattr(cli, "load_instance", load_then_rewrite)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for cmd, expected in zip(commands, want):
-        inst.write_bytes(original)
-        assert run(*cmd, "--jobs", "2", "--out", str(tmp_path / "b")) == 0
-        assert inst.read_bytes() != original
-        assert (tmp_path / "b").read_bytes() == expected
-    assert pool_sizes == [2, 2]
+    original = inst.read_bytes()
+    assert run(*cmd, "--jobs", "2", "--out", str(tmp_path / "b")) == 0
+    assert inst.read_bytes() != original
+    assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
+    assert pool_sizes == [2]
 
 
 class _InProcessPool:
@@ -212,62 +172,23 @@ def _counting(calls, fn, *args, **kwargs):
     return fn(*args, **kwargs)
 
 
-def test_pooled_oracle_solves_each_baseline_lp_once_per_worker(
-        tmp_path, monkeypatch, pool_sizes):
-    """Pooled and serial water reports are the same bytes. Serial checks
-    re-solve warm from the LPs the solve kept, so only its root LP goes
-    through solve_lp. A worker's copy of the solve has no kept LPs, so
-    each of the two workers solves the baseline LPs its checks need once:
-    the root LP and the stage-2 subtree LPs, 9 in all."""
-    inst = write_instance(tmp_path, gen_water_analog(0, gamma=0.95))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    calls = []
-    monkeypatch.setattr(solver_module, "solve_lp",
-                        functools.partial(_counting, calls,
-                                          solver_module.solve_lp))
-    runs = []
-    for jobs in ("1", "2"):
-        calls.clear()
-        rep = str(tmp_path / f"rep{jobs}.json")
-        assert run("classify", inst, "--oracle", "--jobs", jobs,
-                   "--out", rep) == 0
-        runs.append((open(rep, "rb").read(), len(calls)))
-    assert pool_sizes == [2]
-    assert runs[0][0] == runs[1][0]
-    assert (runs[0][1], runs[1][1]) == (1, 1 + 9)
-
-
 def test_pool_is_capped_by_items_and_cpus(tmp_path, monkeypatch, pool_sizes):
     inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0, 3.0]))
     serial = str(tmp_path / "serial.csv")
     assert run("sweep", inst, "--gamma", "0:1:0.25", "--jobs", "1",
                "--out", serial) == 0
     assert pool_sizes == []
-    calls = []
-    monkeypatch.setattr(cli, "solve_extensive",
-                        functools.partial(_counting, calls, solve_extensive))
-    rep = str(tmp_path / "rep.json")
-    assert run("classify", inst, "--oracle", "--jobs", "1",
-               "--out", rep) == 0
-    want = open(rep, "rb").read()
-    n_checked = json.loads(want)["oracle"]["n_checked"]
-    assert n_checked > 1 and pool_sizes == []
-
     out = str(tmp_path / "out")
     for cpus in (64, 2):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        calls.clear()
-        assert run("classify", inst, "--oracle", "--jobs", "100000",
-                   "--out", out) == 0
-        assert open(out, "rb").read() == want
-        # one pool, one worker per check at most, and the workers use the
-        # parent's solve
-        assert pool_sizes.pop() == min(cpus, n_checked) and pool_sizes == []
-        assert len(calls) == 1
-        monkeypatch.setenv("DROTREE_JOBS", "100000")
-        assert run("sweep", inst, "--gamma", "0:1:0.25", "--out", out) == 0
-        assert open(out, "rb").read() == open(serial, "rb").read()
-        assert pool_sizes.pop() == min(cpus, 5)
+        for flag, env in ((["--jobs", "100000"], None), ([], "100000")):
+            if env:
+                monkeypatch.setenv("DROTREE_JOBS", env)
+            assert run("sweep", inst, "--gamma", "0:1:0.25", *flag,
+                       "--out", out) == 0
+            assert open(out, "rb").read() == open(serial, "rb").read()
+            # one pool, one worker per grid point at most
+            assert pool_sizes.pop() == min(cpus, 5) and pool_sizes == []
         monkeypatch.delenv("DROTREE_JOBS")
 
 
@@ -279,13 +200,27 @@ def test_jobs_below_one_is_an_input_error(tmp_path, capsys, monkeypatch,
     jobs = ["--jobs", flag] if flag else []
     if env:
         monkeypatch.setenv("DROTREE_JOBS", env)
-    for argv in (["classify", inst, "--oracle", *jobs],
-                 ["sweep", inst, "--gamma", "0:1:0.5", *jobs]):
-        assert run(*argv) == 2
-        err = capsys.readouterr().err
-        assert _one_error_line(err) and "expected an integer >= 1" in err
-        assert (flag or env) in err
+    assert run("sweep", inst, "--gamma", "0:1:0.5", *jobs) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "expected an integer >= 1" in err
+    assert (flag or env) in err
     assert pool_sizes == []
+
+
+def test_classify_oracle_checks_in_this_process(tmp_path, monkeypatch,
+                                                pool_sizes):
+    """classify --oracle starts no pool whatever DROTREE_JOBS and the cpu
+    count say, and has no --jobs: argparse refuses it with exit 2."""
+    inst = write_instance(tmp_path, leaf_value_tree([1.0, 2.0, 3.0]))
+    monkeypatch.setenv("DROTREE_JOBS", "8")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    rep = str(tmp_path / "rep.json")
+    assert run("classify", inst, "--oracle", "--out", rep) == 0
+    assert json.loads(open(rep).read())["oracle"]["n_checked"] > 1
+    assert pool_sizes == []
+    with pytest.raises(SystemExit) as exc:
+        run("classify", inst, "--oracle", "--jobs", "1")
+    assert exc.value.code == 2
 
 
 def test_classify_labels_the_tree_once(tmp_path, monkeypatch):
@@ -294,7 +229,7 @@ def test_classify_labels_the_tree_once(tmp_path, monkeypatch):
     for module in (cli, effectiveness):
         monkeypatch.setattr(module, "classify_tree", functools.partial(
             _counting, calls, effectiveness.classify_tree))
-    assert run("classify", inst, "--oracle", "--jobs", "1", "--dot",
+    assert run("classify", inst, "--oracle", "--dot",
                str(tmp_path / "t.dot"), "--out", str(tmp_path / "r.json")) == 0
     assert len(calls) == 1
 
@@ -308,7 +243,7 @@ def test_strict_oracle_flags_unsound_rule_variant(tmp_path):
         tmp_path, leaf_value_tree([1.0, 2.0, 3.0], q=[0.2, 0.5, 0.3]))
     rep = str(tmp_path / "rep.json")
     assert run("classify", inst, "--c2-rule", "c2_only", "--oracle",
-               "--strict", "--jobs", "1", "--out", rep) == 4
+               "--strict", "--out", rep) == 4
     blob = json.loads(open(rep).read())
     # both the arc label and the path label built on it are wrong
     assert blob["oracle"]["n_disagreements"] == 2
@@ -346,8 +281,7 @@ def test_strict_oracle_accepts_a_hair_above_the_edge(tmp_path, values, q,
     # oracle
     inst = write_instance(tmp_path, leaf_value_tree(values, q=q, gamma=gamma))
     rep = str(tmp_path / "rep.json")
-    assert run("classify", inst, "--oracle", "--strict", "--jobs", "1",
-               "--out", rep) == 0
+    assert run("classify", inst, "--oracle", "--strict", "--out", rep) == 0
     blob = json.loads(open(rep).read())
     assert blob["oracle"]["n_disagreements"] == 0
     assert [n["cond_label"] for n in blob["nodes"]].count("Unidentified") == 1
@@ -742,6 +676,22 @@ def test_overflowing_coefficient_is_an_input_error(tmp_path, capsys, case,
     assert captured.out == ""
     assert _one_error_line(captured.err)
     assert captured.err.startswith(f"error: node {node!r}: coefficient 1e+308")
+
+
+def test_rhs_overflowing_at_the_parent_decision_exits_5(tmp_path, capsys):
+    """A finite link coefficient of -1e308 at stage 3 moves an infinite
+    rhs into a Benders node LP at its parent's decision: a breakdown,
+    exit 5 with one error line, where add_row raised a ValueError."""
+    blob = to_dict(gen_random(3, T=3, branching=2))
+    blob["stage_templates"][2]["rows"][0]["link"]["0"] = -1e308
+    inst = tmp_path / "f2.json"
+    inst.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run("solve", str(inst), "--solver", "benders") == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert "rhs inf is not finite at the parent decision" in captured.err
 
 
 def test_non_finite_optimum_exits_5(tmp_path, capsys):

@@ -438,6 +438,19 @@ def test_relax_matches_the_lp_without_its_rows():
     assert same > 5 and moved > 5
 
 
+def test_relax_refuses_an_equality_row():
+    """An equality row has no slack to free: naming it is a ValueError,
+    alone or next to an inequality row whose slack prices out."""
+    lp = LinearProgram(2, [1.0, 0.0])
+    lp.add_row({0: 1.0}, ">=", 1.0)
+    lp.add_row({0: 1.0, 1: 1.0}, "=", 3.0)
+    sol = solve_lp(lp, keep=True)
+    for rows in ([1], [0, 1]):
+        with pytest.raises(ValueError, match="inequality rows only"):
+            relax(sol, rows)
+    assert relax(sol, [0]).objective_value == 0.0
+
+
 def test_optimum_that_is_not_finite_breaks_down():
     """An LP that ends optimal with an objective of inf raises, alone and
     as one member of a stack, whose other members keep their results."""

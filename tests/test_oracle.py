@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -389,13 +389,13 @@ def test_property_warm_checks_match_the_cold_restricted_lp(spec):
     warm, with no phase 1 and no restricted LP built: its value is the
     cold restricted LP's within 1e-12 relative (the baseline's when it
     takes no pivot), with the same verdict and flags. Checks against a
-    copy of the outcome, which has no kept states, solve their own
-    baseline LPs and give the same bits."""
+    copy of the outcome with no states solve their own baseline LPs and
+    give the same bits."""
     tree = (gen_water_analog(0, gamma=0.95) if spec is None
             else gen_random(spec[0], T=3, branching=spec[1], gamma=spec[2]))
     out = solve_extensive(tree)
     warm = _every_check(tree, out)
-    fresh = _every_check(tree, copy.copy(out))
+    fresh = _every_check(tree, dataclasses.replace(out, states={}))
     for (removals, root, incoming, res, _, phase1), again in zip(warm, fresh):
         assert phase1 == 0
         assert again[3] == res
@@ -429,6 +429,23 @@ def test_benders_outcome_keeps_resolving():
             want = _cold(tree, removals, root, incoming).objective_value
             assert _verdict(want, res.baseline)[1:] == (res.verdict,
                                                         res.borderline)
+
+
+def test_outcome_keeps_its_states_across_another_solve(monkeypatch):
+    """The baseline LPs live as long as their outcome: checks on one
+    tree's outcome, run after solving another tree, solve no LP and give
+    the results of checks on a new solve."""
+    tree = gen_random(seed=1, T=3, branching=3, gamma=0.5)
+    out = solve_extensive(tree)
+    solve_extensive(gen_random(seed=2, T=3, branching=2))
+    calls = []
+    with monkeypatch.context() as mp:
+        mp.setattr(solver_module, "solve_lp", lambda *args, **kwargs:
+                   calls.append(args) or solve_lp(*args, **kwargs))
+        checks = _every_check(tree, out)
+    assert calls == []
+    again = _every_check(tree, solve_extensive(tree))
+    assert [c[3] for c in checks] == [c[3] for c in again]
 
 
 def test_water_labels_are_checked_warm():
